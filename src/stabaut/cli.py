@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .codes import (
+    MAX_TABLE_ENTRIES,
     Automorphism,
     StabilizedCode,
     code_power,
@@ -71,8 +72,16 @@ def automorphism_to_dict(aut: Automorphism) -> dict:
 
 
 def _code_from_fields(n: int, period: int, radius: int, tables, where: str) -> StabilizedCode:
-    if period < 1 or radius < 0:
-        raise FileFormatError(f"{where}: bad period/radius")
+    if any(type(v) is not int for v in (n, period, radius)) or n < 1 or period < 1 or radius < 0:
+        raise FileFormatError(f"{where}: bad n/period/radius")
+    # n^(2r+1) >= 2^(2r+1), so a radius this wide is refused before the
+    # power is computed
+    too_wide = n > 1 and 2 * radius + 1 > MAX_TABLE_ENTRIES.bit_length()
+    if too_wide or n ** (2 * radius + 1) * period > MAX_TABLE_ENTRIES:
+        raise FileFormatError(
+            f"{where}: period {period} and radius {radius} over {n} letters "
+            f"exceed the exact-check budget of {MAX_TABLE_ENTRIES} table entries"
+        )
     if len(tables) != period:
         raise FileFormatError(f"{where}: expected {period} tables, found {len(tables)}")
     want = n ** (2 * radius + 1)

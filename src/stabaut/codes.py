@@ -6,6 +6,16 @@ A^{2r+1} (indexed leftmost-significant) to letters, with semantics
 
     phi(x)_z = beta_{z mod k}(x_{z-r}, ..., x_{z+r}).
 
+Windows are indexed leftmost-significant: the window (a_0, ..., a_{w-1})
+has index sum a_i n^(w-1-i), so slot 0 is the most significant digit and
+a length-k block over A is the same integer as one letter of A^k.  Every
+kernel reads windows through one primitive,
+
+    subwindow(idx, n, width, lo, w) = (idx // n^(width-lo-w)) % n^w,
+
+the index of the w-letter sub-window starting at slot lo of each
+width-letter window in idx; no kernel builds a matrix of letters.
+
 Tables are dense numpy arrays, so every comparison below is an exact,
 exhaustive check over all windows.  Size guards keep that honest:
 operations refuse to build tables they cannot enumerate.
@@ -55,42 +65,45 @@ def _check_size(n: int, radius: int, period: int) -> None:
         )
 
 
-def window_digits(n: int, radius: int) -> np.ndarray:
-    """(n^(2r+1), 2r+1) matrix of all windows, row i = letters of window i."""
-    width = 2 * radius + 1
-    idx = np.arange(window_count(n, radius), dtype=np.int64)
-    cols = []
-    for pos in range(width):
-        shift = n ** (width - 1 - pos)
-        cols.append((idx // shift) % n)
-    return np.stack(cols, axis=1).astype(_table_dtype(n))
+def subwindow(idx, n: int, width: int, lo: int, w: int):
+    """Index of the w-letter sub-window at slots lo .. lo+w-1 of each
+    width-letter window index in `idx` (leftmost-significant; idx and lo
+    may be ints or numpy arrays)."""
+    return (idx // n ** (width - lo - w)) % n**w
 
 
 WINDOW_CHUNK = 1 << 19
 
 
-def iter_window_chunks(n: int, radius: int, chunk: int = WINDOW_CHUNK):
-    """Yield (start, digits) pieces of the full window enumeration.
+def index_chunks(total: int, chunk: int = WINDOW_CHUNK):
+    """Yield (start, indices start .. start+len-1) covering range(total).
 
-    Keeps peak memory bounded for large radii; digits rows are the
-    letters of windows start .. start+len-1 in index order.
+    Kernels that enumerate every window work one piece at a time, so
+    peak memory stays bounded for large radii.
+    """
+    for start in range(0, total, chunk):
+        yield start, np.arange(start, min(start + chunk, total), dtype=np.int64)
+
+
+def _shift_table(n: int, radius: int, j: int) -> np.ndarray:
+    """Radius-`radius` table copying the input at offset j (|j| <= radius)."""
+    idx = np.arange(window_count(n, radius), dtype=np.int64)
+    return subwindow(idx, n, 2 * radius + 1, radius + j, 1).astype(_table_dtype(n))
+
+
+def _block_tables(n: int, k: int, radius: int, images) -> list[np.ndarray]:
+    """Tables of the code acting on aligned k-blocks by `images`.
+
+    At class c the block holding the centre occupies window slots
+    radius-c .. radius-c+k-1 and the output is letter c of its image.
     """
     width = 2 * radius + 1
-    total = window_count(n, radius)
-    shifts = [n ** (width - 1 - pos) for pos in range(width)]
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = np.empty((idx.size, width), dtype=np.int64)
-        for pos, shift in enumerate(shifts):
-            digits[:, pos] = (idx // shift) % n
-        yield start, digits
-
-
-def encode_windows(n: int, digits: np.ndarray) -> np.ndarray:
-    """Indices of the windows whose letters are the rows of `digits`."""
-    width = digits.shape[-1]
-    powers = np.array([n ** (width - 1 - i) for i in range(width)], dtype=np.int64)
-    return digits.astype(np.int64) @ powers
+    idx = np.arange(window_count(n, radius), dtype=np.int64)
+    img = np.asarray(images, dtype=np.int64)
+    return [
+        subwindow(img[subwindow(idx, n, width, radius - c, k)], n, k, c, 1).astype(_table_dtype(n))
+        for c in range(k)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +114,9 @@ class StabilizedCode:
     block_map records that the code acts blockwise on aligned
     length-`period` blocks by that permutation of block indices; a
     shift_by records that the code is a pure shift power.  Either lets
-    compose() produce the structured result directly instead of growing
-    the radius.
+    compose() and equals() take a structured shortcut, so both are
+    checked against the tables at construction and rejected on any
+    disagreement.
     """
 
     n: int
@@ -133,7 +147,20 @@ class StabilizedCode:
             bm = tuple(int(b) for b in self.block_map)
             if sorted(bm) != list(range(self.n**self.period)):
                 raise ValueError("block_map must permute the aligned blocks")
+            if self.radius < self.period - 1 or not all(
+                np.array_equal(t, want_t)
+                for t, want_t in zip(fixed, _block_tables(self.n, self.period, self.radius, bm))
+            ):
+                raise ValueError("block_map disagrees with the tables")
             object.__setattr__(self, "block_map", bm)
+        if self.shift_by is not None:
+            j = int(self.shift_by)
+            if abs(j) > self.radius:
+                raise ValueError(f"shift_by {j} exceeds radius {self.radius}")
+            want_t = _shift_table(self.n, self.radius, j)
+            if not all(np.array_equal(t, want_t) for t in fixed):
+                raise ValueError("shift_by disagrees with the tables")
+            object.__setattr__(self, "shift_by", j)
 
     # -- constructors ------------------------------------------------
 
@@ -148,41 +175,17 @@ class StabilizedCode:
         if j == 0:
             return cls.identity(n)
         r = abs(j)
-        idx = np.arange(window_count(n, r), dtype=np.int64)
-        pos = r + j  # window slot holding x_{z+j}
-        table = (idx // (n ** (2 * r - pos))) % n
-        return cls(n, 1, r, (table,), shift_by=j)
-
-    @classmethod
-    def from_rule(cls, n: int, period: int, radius: int, rule) -> "StabilizedCode":
-        """Build dense tables from rule(position_class, window_letters) -> letter."""
-        _check_size(n, radius, period)
-        digits = window_digits(n, radius)
-        tables = []
-        for c in range(period):
-            tables.append(np.fromiter(
-                (rule(c, tuple(int(a) for a in row)) for row in digits),
-                dtype=_table_dtype(n), count=digits.shape[0]))
-        return cls(n, period, radius, tuple(tables))
+        _check_size(n, r, 1)
+        return cls(n, 1, r, (_shift_table(n, r, j),), shift_by=j)
 
     @classmethod
     def from_block_permutation(cls, n: int, k: int, images: tuple[int, ...]) -> "StabilizedCode":
         """Code acting on aligned k-blocks by a permutation of block indices."""
         if sorted(images) != list(range(n**k)):
             raise ValueError("images must permute the n^k blocks")
-        radius = k - 1
-        _check_size(n, radius, k)
-        digits = window_digits(n, radius)
-        img = np.asarray(images, dtype=np.int64)
-        tables = []
-        for c in range(k):
-            # block containing the centre at class c occupies window
-            # positions radius-c .. radius-c+k-1
-            blk = encode_windows(n, digits[:, radius - c: radius - c + k])
-            out_blocks = img[blk]
-            letter = (out_blocks // (n ** (k - 1 - c))) % n
-            tables.append(letter.astype(_table_dtype(n)))
-        return cls(n, k, radius, tuple(tables), block_map=tuple(int(i) for i in images))
+        _check_size(n, k - 1, k)
+        return cls(n, k, k - 1, tuple(_block_tables(n, k, k - 1, images)),
+                   block_map=tuple(int(i) for i in images))
 
     # -- evaluation ---------------------------------------------------
 
@@ -214,13 +217,12 @@ class StabilizedCode:
             return StabilizedCode(self.n, period, radius, tuple(tables))
         n = self.n
         total = window_count(n, radius)
-        dtype = _table_dtype(n)
-        new = [np.empty(total, dtype=dtype) for _ in range(period)]
-        for start, digits in iter_window_chunks(n, radius):
-            gather = encode_windows(n, digits[:, pad:-pad])
+        new = [np.empty(total, dtype=_table_dtype(n)) for _ in range(period)]
+        for start, idx in index_chunks(total):
+            inner = subwindow(idx, n, 2 * radius + 1, pad, 2 * self.radius + 1)
             for c in range(period):
-                new[c][start: start + gather.size] = self.tables[c % self.period][gather]
-        return StabilizedCode(self.n, period, radius, tuple(new))
+                new[c][start: start + idx.size] = self.tables[c % self.period][inner]
+        return StabilizedCode(n, period, radius, tuple(new))
 
     def __repr__(self):
         return f"StabilizedCode(n={self.n}, period={self.period}, radius={self.radius})"
@@ -251,21 +253,25 @@ def compose(f: StabilizedCode, g: StabilizedCode) -> StabilizedCode:
     radius = f.radius + g.radius
     _check_size(n, radius, period)
     total = window_count(n, radius)
-    dtype = _table_dtype(n)
-    tables = [np.empty(total, dtype=dtype) for _ in range(period)]
-    for start, digits in iter_window_chunks(n, radius):
-        inner_by_offset = []
-        for d in range(-f.radius, f.radius + 1):
-            lo = radius + d - g.radius
-            inner_by_offset.append(encode_windows(n, digits[:, lo: lo + 2 * g.radius + 1]))
+    tables = [np.empty(total, dtype=_table_dtype(n)) for _ in range(period)]
+    for start, idx in index_chunks(total):
+        inner = [subwindow(idx, n, 2 * radius + 1, lo, 2 * g.radius + 1)
+                 for lo in range(2 * f.radius + 1)]
         for c in range(period):
-            cols = [
-                g.evaluate_indices(c + d, inner_by_offset[d + f.radius])
-                for d in range(-f.radius, f.radius + 1)
-            ]
-            outer = encode_windows(n, np.stack(cols, axis=1))
-            tables[c][start: start + outer.size] = f.evaluate_indices(c, outer)
+            outer = _image_windows(g, inner, c)
+            tables[c][start: start + idx.size] = f.evaluate_indices(c, outer)
     return StabilizedCode(n, period, radius, tuple(tables))
+
+
+def _image_windows(g: StabilizedCode, inner: list[np.ndarray], c: int) -> np.ndarray:
+    """Index of the window of g's outputs at positions c-s .. c+s, where
+    inner[s + d] holds the index of g's input window at position c + d."""
+    s = len(inner) // 2
+    out = np.zeros(inner[0].shape, dtype=np.int64)
+    for d, win in enumerate(inner, start=-s):
+        out *= g.n
+        out += g.evaluate_indices(c + d, win)
+    return out
 
 
 def compose_all(*codes: StabilizedCode) -> StabilizedCode:
@@ -290,21 +296,15 @@ def _admissible_window_indices(n: int, radius: int, sft: SftMatrix) -> np.ndarra
     return np.array([power_alphabet_index(n, 2 * radius + 1, w) for w in words], dtype=np.int64)
 
 
-def _inflate_block_map(n: int, k: int, images: tuple[int, ...], t: int) -> tuple[int, ...]:
+def _inflate_block_map(n: int, k: int, images: tuple[int, ...], t: int) -> np.ndarray:
     """Diagonal action of an aligned k-block permutation on kt-blocks."""
     nk = n**k
-    out = []
-    for b in range(nk**t):
-        subs = []
-        for _ in range(t):
-            b, lo = divmod(b, nk)
-            subs.append(lo)
-        subs.reverse()
-        acc = 0
-        for s in subs:
-            acc = acc * nk + images[s]
-        out.append(acc)
-    return tuple(out)
+    blocks = np.arange(nk**t, dtype=np.int64)
+    img = np.asarray(images, dtype=np.int64)
+    out = np.zeros(blocks.shape, dtype=np.int64)
+    for i in range(t):
+        out = out * nk + img[subwindow(blocks, nk, t, i, 1)]
+    return out
 
 
 def equals(f: StabilizedCode, g: StabilizedCode, sft: SftMatrix | None = None) -> bool:
@@ -326,7 +326,7 @@ def equals(f: StabilizedCode, g: StabilizedCode, sft: SftMatrix | None = None) -
         # permutations agree after inflating to the common period
         fm = _inflate_block_map(f.n, f.period, f.block_map, period // f.period)
         gm = _inflate_block_map(g.n, g.period, g.block_map, period // g.period)
-        return fm == gm
+        return np.array_equal(fm, gm)
     radius = max(f.radius, g.radius)
     fr = f.refine(period, radius)
     gr = g.refine(period, radius)
@@ -451,17 +451,15 @@ def find_inverse(code: StabilizedCode, max_radius: int) -> StabilizedCode | None
     n, k, r = code.n, code.period, code.radius
     for s in range(max_radius + 1):
         span = s + r
-        digits = window_digits(n, span)
+        _check_size(n, span, 1)
+        width = 2 * span + 1
+        idx = np.arange(window_count(n, span), dtype=np.int64)
+        inner = [subwindow(idx, n, width, lo, 2 * r + 1) for lo in range(2 * s + 1)]
+        centre = subwindow(idx, n, width, span, 1)
         ok = True
         tables = []
         for c in range(k):
-            cols = []
-            for d in range(-s, s + 1):
-                lo = span + d - r
-                inner = encode_windows(n, digits[:, lo: lo + 2 * r + 1])
-                cols.append(code.evaluate_indices(c + d, inner))
-            out_idx = encode_windows(n, np.stack(cols, axis=1))
-            centre = digits[:, span].astype(_table_dtype(n))
+            out_idx = _image_windows(code, inner, c)
             table = np.full(window_count(n, s), -1, dtype=np.int64)
             table[out_idx] = centre
             conflict = table[out_idx] != centre
@@ -533,32 +531,18 @@ def _bijective_on_periodics(n: int, r: int, k: int) -> list[tuple[int, ...]]:
     length = k
     while length < max(2 * r + 1, 4):
         length += k
-    # periodic blocks of length `length`
-    pts = np.zeros((n**length, length), dtype=np.int64)
     idx = np.arange(n**length, dtype=np.int64)
-    for pos in range(length):
-        pts[:, pos] = (idx // (n ** (length - 1 - pos))) % n
-    # window index of each point at each position (cyclic)
-    win_idx = np.zeros((n**length, length), dtype=np.int64)
+    tidx = np.arange(per_table, dtype=np.int64)[:, None]
+    # partial contribution of each table choice per residue class: the
+    # letter a table writes at position z of a periodic block is the
+    # table's entry (one slot of its index) at the block's cyclic window
+    # around z, read from the block rotated to start at z - r
+    partial = [np.zeros((per_table, n**length), dtype=np.int64) for _ in range(k)]
     for z in range(length):
-        acc = np.zeros(n**length, dtype=np.int64)
-        for off in range(-r, r + 1):
-            acc = acc * n + pts[:, (z + off) % length]
-        win_idx[:, z] = acc
-    # all tables as (per_table, w) digit matrix
-    tdig = np.zeros((per_table, w), dtype=np.int64)
-    tidx = np.arange(per_table, dtype=np.int64)
-    for pos in range(w):
-        tdig[:, pos] = (tidx // (n ** (w - 1 - pos))) % n
-    # partial contribution of each table choice per residue class
-    weights = [n ** (length - 1 - z) for z in range(length)]
-    partial = []
-    for c in range(k):
-        cols = [z for z in range(length) if z % k == c]
-        contrib = np.zeros((per_table, n**length), dtype=np.int64)
-        for z in cols:
-            contrib += tdig[:, win_idx[:, z]] * weights[z]
-        partial.append(contrib)
+        a = (z - r) % length
+        rotated = (idx % n ** (length - a)) * n**a + idx // n ** (length - a)
+        win = subwindow(rotated, n, length, 0, 2 * r + 1)
+        partial[z % k] += subwindow(tidx, n, w, win[None, :], 1) * n ** (length - 1 - z)
     target = np.sort(idx)
     survivors = []
     for combo in itertools.product(range(per_table), repeat=k):

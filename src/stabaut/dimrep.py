@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import Automorphism
+from .codes import Automorphism, index_chunks, subwindow
 from .shifts import prime_factors
 
 
@@ -106,26 +106,19 @@ def ray_image_count(aut: Automorphism, tail_letter: int = 0) -> RayCount:
         raise MultiplierNotSupported(
             f"{q}^{free} ray extensions exceed the enumeration budget"
         )
-    idx = np.arange(q**free, dtype=np.int64)
-    letters = {}
-
-    def letter_col(pos: int) -> np.ndarray:
-        # positions <= 0 belong to the tail; 1..free are the digits of idx
-        if pos <= 0:
-            return np.full(idx.shape, tail_letter, dtype=np.int64)
-        if pos not in letters:
-            letters[pos] = (idx // (q ** (free - pos))) % q
-        return letters[pos]
-
-    key = np.zeros(idx.shape, dtype=np.int64)
-    for out_pos in range(-r + 1, m + 1):
-        win = np.zeros(idx.shape, dtype=np.int64)
-        for off in range(-r, r + 1):
-            win = win * q + letter_col(out_pos + off)
-        out = code.tables[out_pos % code.period][win].astype(np.int64)
-        key = key * q + out
-    distinct = int(np.unique(key).size)
-    return RayCount(m, distinct)
+    seen = np.zeros(q**free, dtype=bool)
+    for _, idx in index_chunks(q**free):
+        # idx holds the free letters at positions 1..free; a window
+        # reaching back to position <= 0 starts with t tail letters
+        key = np.zeros(idx.shape, dtype=np.int64)
+        for out_pos in range(-r + 1, m + 1):
+            t = max(0, r - out_pos + 1)
+            tail = tail_letter * (q**t - 1) // (q - 1) * q ** (2 * r + 1 - t)
+            win = tail + subwindow(idx, q, free, out_pos - r - 1 + t, 2 * r + 1 - t)
+            key *= q
+            key += code.tables[out_pos % code.period][win]
+        seen[key] = True
+    return RayCount(m, int(np.count_nonzero(seen)))
 
 
 def dimension_multiplier(aut: Automorphism) -> ExponentVector:

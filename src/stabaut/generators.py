@@ -13,9 +13,13 @@ import numpy as np
 from .codes import (
     Automorphism,
     StabilizedCode,
+    _check_size,
+    _table_dtype,
     code_power,
     compose_all,
     equals,
+    index_chunks,
+    subwindow,
 )
 from .permlab import Permutation
 from .shifts import SftMatrix, index_to_block, lcm, power_alphabet_index
@@ -247,21 +251,21 @@ def recode_to_power(phi: Automorphism, k: int | None = None) -> Automorphism:
 
 
 def _recode_code(code: StabilizedCode) -> StabilizedCode:
+    """The period-k code as a period-1 code over A^k.
+
+    A window of 2*big_r+1 blocks has the same index as the window of its
+    (2*big_r+1)*k letters, which span absolute positions -big_r*k ..
+    (big_r+1)*k - 1; output letter c reads the letters around position c.
+    """
     n, k, r = code.n, code.period, code.radius
-    big_n = n**k
     big_r = -(-(r + k - 1) // k)
-    width = 2 * big_r + 1
-
-    def rule(_cls: int, window) -> int:
-        letters = []
-        for blk in window:
-            letters.extend(index_to_block(n, k, blk))
-        # letters now span absolute positions -big_r*k .. (big_r+1)*k - 1
-        origin = big_r * k
-        out = []
+    width = (2 * big_r + 1) * k
+    _check_size(n**k, big_r, 1)
+    table = np.empty(n**width, dtype=_table_dtype(n**k))
+    for start, idx in index_chunks(n**width):
+        out = np.zeros(idx.shape, dtype=np.int64)
         for c in range(k):
-            lo = origin + c - r
-            out.append(code.evaluate(c, letters[lo: lo + 2 * r + 1]))
-        return power_alphabet_index(n, k, out)
-
-    return StabilizedCode.from_rule(big_n, 1, big_r, rule)
+            out *= n
+            out += code.evaluate_indices(c, subwindow(idx, n, width, big_r * k + c - r, 2 * r + 1))
+        table[start: start + idx.size] = out
+    return StabilizedCode(n**k, 1, big_r, (table,))

@@ -16,12 +16,18 @@ def omega(n: int) -> int:
 
 
 def _integer_root(a: int, k: int) -> int | None:
-    """The exact integer k-th root of a, if one exists."""
-    r = round(a ** (1.0 / k))
-    for c in (r - 1, r, r + 1):
-        if c >= 1 and c**k == a:
-            return c
-    return None
+    """The exact integer k-th root of a >= 1, if one exists.
+
+    Integer Newton iteration from an upper bound decreases monotonically
+    to floor(a^(1/k)), so the result is exact for integers of any size.
+    """
+    x = 1 << -(-a.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + a // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    return x if x**k == a else None
 
 
 def roots_set(a: int) -> frozenset[int]:

@@ -26,7 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import Automorphism, StabilizedCode, _verification_fits
+from .codes import (
+    Automorphism,
+    StabilizedCode,
+    _check_size,
+    _table_dtype,
+    _verification_fits,
+    index_chunks,
+    subwindow,
+)
 from .shifts import PeriodicPoint, SftMatrix, Word
 
 
@@ -281,63 +289,70 @@ def embed_code(code: StabilizedCode, scheme: MarkerScheme) -> StabilizedCode:
     q, R = scheme.q, scheme.gap
     period = k * R
     W = r * R
-    n_windows = q ** (2 * W + 1)
-
-    digits = np.zeros((n_windows, 2 * W + 1), dtype=np.int64)
-    idx = np.arange(n_windows, dtype=np.int64)
-    for pos in range(2 * W + 1):
-        digits[:, pos] = (idx // (q ** (2 * W - pos))) % q
+    width = 2 * W + 1
+    _check_size(q, W, period)
+    total = q**width
     is_data = np.zeros(q, dtype=bool)
     is_data[: n**2] = True
-    centre = digits[:, W]
-    rows_idx = np.arange(n_windows)
-
-    def walk_values(start_upper: bool) -> np.ndarray:
-        """(n_windows, 2r+1) matrix of source letters along the walk."""
-        vals = np.zeros((n_windows, 2 * r + 1), dtype=np.int64)
-
-        def component(pos, upper):
-            letter = digits[rows_idx, W + pos]
-            return np.where(upper, letter // n, letter % n) % n
-
-        def step(pos, upper, forward):
-            if forward:
-                direction = np.where(upper, R, -R)
-            else:
-                direction = np.where(upper, -R, R)
-            probe = digits[rows_idx, W + pos + direction]
-            can = is_data[probe]
-            new_pos = pos + np.where(can, direction, 0)
-            new_upper = np.where(can, upper, ~upper)
-            return new_pos, new_upper
-
-        pos = np.zeros(n_windows, dtype=np.int64)
-        upper = np.full(n_windows, start_upper)
-        vals[:, r] = component(pos, upper)
-        for z in range(1, r + 1):
-            pos, upper = step(pos, upper, forward=True)
-            vals[:, r + z] = component(pos, upper)
-        pos = np.zeros(n_windows, dtype=np.int64)
-        upper = np.full(n_windows, start_upper)
-        for z in range(1, r + 1):
-            pos, upper = step(pos, upper, forward=False)
-            vals[:, r - z] = component(pos, upper)
-        return vals
-
-    vals_u = walk_values(start_upper=True)
-    vals_l = walk_values(start_upper=False)
-    powers = np.array([n ** (2 * r - i) for i in range(2 * r + 1)], dtype=np.int64)
-    win_u = vals_u @ powers
-    win_l = vals_l @ powers
-
-    tables = []
-    for c in range(period):
-        j0 = c // R
-        out_u = code.tables[j0 % k][win_u].astype(np.int64)
-        out_l = code.tables[(1 - j0) % k][win_l].astype(np.int64)
-        encoded = out_u * n + out_l
-        tables.append(np.where(is_data[centre], encoded, centre))
+    weights = _walk_weights(n, r)
+    tables = [np.empty(total, dtype=_table_dtype(q)) for _ in range(period)]
+    for start, idx in index_chunks(total):
+        # the walk reads and probes only the letters at slots W + m*R
+        slots = [subwindow(idx, q, width, W + m * R, 1) for m in range(-r, r + 1)]
+        data = [is_data[a] for a in slots]
+        case = _stretch_case(data, r)
+        parts = [part for a in slots for part in (a // n % n, a % n)]
+        win_u, win_l = (sum(part * col[case] for part, col in zip(parts, w.T) if col.any())
+                        for w in weights)
+        centre = slots[r]
+        for c in range(period):
+            j0 = c // R
+            upper = code.tables[j0 % k][win_u].astype(np.int64)
+            encoded = upper * n + code.tables[(1 - j0) % k][win_l]
+            tables[c][start: start + idx.size] = np.where(data[r], encoded, centre)
     return StabilizedCode(q, period, W, tuple(tables))
+
+
+def _walk_weights(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """How the source windows read by r-step walks are made of slot letters.
+
+    Seen from a data letter at slot 0, the stretch occupies the slots
+    -e_left .. e_right (each capped at r, as an r-step walk probes no
+    further), so the walk depends on the case e_right*(r+1) + e_left
+    alone.  For the walk starting in the upper (first array) or lower
+    (second) row, entry [case, 2*(m+r) + row] sums the place values
+    n^(2r-i) of the window slots i read from slot m in that row (0 for
+    the upper component, 1 for the lower).
+    """
+    out = []
+    for start_upper in (True, False):
+        w = np.zeros(((r + 1) ** 2, 2 * (2 * r + 1)), dtype=np.int64)
+        for e_right, e_left in itertools.product(range(r + 1), repeat=2):
+            case = e_right * (r + 1) + e_left
+            w[case, 2 * r + (not start_upper)] += n**r
+            for sign in (1, -1):
+                m, upper = 0, start_upper
+                for z in range(1, r + 1):
+                    step = sign if upper else -sign
+                    if -e_left <= m + step <= e_right:
+                        m += step
+                    else:
+                        upper = not upper
+                    w[case, 2 * (m + r) + (not upper)] += n ** (r - sign * z)
+        out.append(w)
+    return out[0], out[1]
+
+
+def _stretch_case(data: list[np.ndarray], r: int) -> np.ndarray:
+    """e_right*(r+1) + e_left, where the data slots run e_right slots right
+    and e_left slots left of the centre slot r without a break."""
+    case = np.zeros(data[r].shape, dtype=np.int64)
+    for side, weight in ((data[r + 1:], r + 1), (data[:r][::-1], 1)):
+        unbroken = np.ones(case.shape, dtype=bool)
+        for d in side:
+            unbroken &= d
+            case += weight * unbroken
+    return case
 
 
 def embed_automorphism(phi: Automorphism, scheme: MarkerScheme) -> Automorphism:

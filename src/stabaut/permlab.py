@@ -22,6 +22,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
+from .shifts import prime_factors
+
 MAX_GROUP_DEGREE = 64
 
 
@@ -470,25 +472,12 @@ def is_primitive(group: GroupHandle) -> tuple[bool, frozenset[int] | None]:
     return True, None
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out, m, p = [], n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def _isolate_prime_cycle(g: Permutation, max_prime: int):
     """(p, e) with g**e a single p-cycle and p < max_prime, or None."""
     if g.is_identity():
         return None
     order = g.order()
-    for p in _prime_divisors(order):
+    for p in prime_factors(order):
         if p >= max_prime:
             continue
         e = order // p

@@ -11,7 +11,6 @@ immutable value and every function is pure.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -193,11 +192,6 @@ def index_to_block(n: int, k: int, idx: int) -> Word:
     return tuple(reversed(letters))
 
 
-def all_blocks(n: int, k: int):
-    """All length-k blocks in index order."""
-    return itertools.product(range(n), repeat=k)
-
-
 @dataclass(frozen=True, eq=False)
 class PeriodicPoint:
     """Periodic point x with x_z = block[(z + phase) mod len(block)].
@@ -254,11 +248,6 @@ class PeriodicPoint:
 
     def __repr__(self):
         return f"PeriodicPoint(block={self.block}, phase={self.phase})"
-
-
-def periodic_points(n: int, period: int) -> list[PeriodicPoint]:
-    """All points of the full n-shift fixed by shift^period, as distinct points."""
-    return [PeriodicPoint(b, 0) for b in all_blocks(n, period)]
 
 
 def prime_factors(n: int) -> list[int]:

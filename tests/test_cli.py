@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -195,6 +196,16 @@ class TestExitCodes:
         path = tmp_path / "lying.json"
         path.write_text(json.dumps(data))
         assert run(["dimrep", str(path)]) == 2
+
+    def test_oversized_radius_refused_before_allocating(self, tmp_path, capsys):
+        data = automorphism_to_dict(flip(2))
+        data.update(n=3, radius=30_000_000, tables=[[0, 1, 2]])
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        assert run(["dimrep", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "budget" in capsys.readouterr().err
 
     def test_identity_transposition_rejected(self, capsys):
         assert run(["verify-commutator", "2", "1", "1"]) == 1

@@ -3,9 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabaut.codes import (
     Automorphism,
+    CodeSizeExceeded,
     StabilizedCode,
     apply_to_periodic,
     aut_compose,
@@ -15,11 +18,12 @@ from stabaut.codes import (
     enumerate_automorphisms,
     equals,
     find_inverse,
+    subwindow,
     verify_inverse_pair,
 )
 from stabaut.generators import flip, flip_on_even, shift_power, symbol_permutation
 from stabaut.permlab import Permutation
-from stabaut.shifts import PeriodicPoint, SftMatrix, lcm
+from stabaut.shifts import PeriodicPoint, SftMatrix, lcm, power_alphabet_index
 
 IDENT2 = StabilizedCode.identity(2)
 FLIP = flip(2).forward
@@ -35,6 +39,86 @@ def functional_image(code, x, length):
         window = tuple(x.letter(z + d) for d in range(-code.radius, code.radius + 1))
         out.append(code.evaluate(z % code.period, window))
     return tuple(out)
+
+
+@st.composite
+def random_codes(draw, count=1):
+    """`count` random codes over one small alphabet (tables seeded)."""
+    n = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = []
+    for _ in range(count):
+        period = draw(st.integers(1, 3))
+        radius = draw(st.integers(0, 2 if n == 2 else 1))
+        codes.append(StabilizedCode(n, period, radius, tuple(
+            rng.integers(0, n, n ** (2 * radius + 1)) for _ in range(period))))
+    return codes
+
+
+@st.composite
+def periodic_points(draw, n):
+    length = draw(st.integers(1, 6))
+    block = draw(st.lists(st.integers(0, n - 1), min_size=length, max_size=length))
+    return PeriodicPoint(tuple(block), draw(st.integers(0, length - 1)))
+
+
+class TestSubwindow:
+    @given(st.integers(2, 7), st.data())
+    def test_matches_letter_encoding(self, n, data):
+        width = data.draw(st.integers(1, 8))
+        letters = data.draw(st.lists(st.integers(0, n - 1), min_size=width, max_size=width))
+        lo = data.draw(st.integers(0, width - 1))
+        w = data.draw(st.integers(1, width - lo))
+        idx = power_alphabet_index(n, width, letters)
+        want = power_alphabet_index(n, w, letters[lo: lo + w])
+        assert subwindow(idx, n, width, lo, w) == want
+        assert subwindow(np.array([idx], dtype=np.int64), n, width, lo, w)[0] == want
+
+
+class TestKernelsAgainstOracle:
+    """Dense kernels against the scalar apply_to_periodic oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_compose(self, data):
+        f, g = data.draw(random_codes(count=2))
+        fg = compose(f, g)
+        for _ in range(3):
+            x = data.draw(periodic_points(f.n))
+            assert apply_to_periodic(fg, x) == apply_to_periodic(f, apply_to_periodic(g, x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_refine(self, data):
+        (code,) = data.draw(random_codes())
+        period = code.period * data.draw(st.integers(1, 3))
+        radius = code.radius + data.draw(st.integers(0, 2))
+        refined = code.refine(period, radius)
+        assert (refined.period, refined.radius) == (period, radius)
+        for _ in range(3):
+            x = data.draw(periodic_points(code.n))
+            assert apply_to_periodic(refined, x) == apply_to_periodic(code, x)
+
+
+class TestStructureChecked:
+    """block_map and shift_by are checked against the tables."""
+
+    def test_wrong_block_map_rejected(self):
+        with pytest.raises(ValueError):
+            StabilizedCode(2, 1, 0, (np.array([1, 0]),), block_map=(0, 1))
+        flip_code = StabilizedCode(2, 1, 0, (np.array([1, 0]),), block_map=(1, 0))
+        assert equals(flip_code, FLIP) and not equals(flip_code, IDENT2)
+
+    def test_shift_by_beyond_radius_rejected(self):
+        with pytest.raises(ValueError):
+            StabilizedCode(2, 1, 0, (np.array([0, 1]),), shift_by=5)
+        with pytest.raises(ValueError):
+            StabilizedCode(2, 1, 1, IDENT2.refine(1, 1).tables, shift_by=1)
+        assert StabilizedCode(2, 1, 1, SIGMA.tables, shift_by=1).shift_by == 1
+
+    def test_shift_checks_size_before_allocating(self):
+        with pytest.raises(CodeSizeExceeded):
+            StabilizedCode.shift(2, 13)
 
 
 class TestEvaluate:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabaut.codes import Automorphism, StabilizedCode, aut_commutator, aut_compose
 from stabaut.dimrep import (
@@ -16,6 +18,8 @@ from stabaut.dimrep import (
 from stabaut.generators import (
     flip,
     flip_on_even,
+    letter_permutation,
+    periodic_letter_permutation,
     shift_power,
     symbol_permutation,
 )
@@ -94,6 +98,34 @@ class TestRayImageCount:
             for tail in range(min(aut.n, 2)):
                 rc = ray_image_count(aut, tail)
                 assert (rc.m, rc.count) == brute_ray_count(aut, tail)
+
+
+@st.composite
+def small_automorphisms(draw):
+    """Products of up to three shift, letter and block generators."""
+    q = draw(st.integers(2, 3))
+    perms = st.permutations(range(q)).map(lambda p: Permutation(tuple(p)))
+    gens = [
+        st.sampled_from([shift_power(q, 1), shift_power(q, -1)]),
+        perms.map(lambda p: letter_permutation(q, p)),
+        st.lists(perms, min_size=2, max_size=2).map(lambda ps: periodic_letter_permutation(q, ps)),
+    ]
+    if q == 2:
+        gens.append(st.permutations(range(4)).map(
+            lambda p: symbol_permutation(2, 2, Permutation(tuple(p)))))
+    factors = draw(st.lists(st.one_of(gens), min_size=1, max_size=3))
+    aut = factors[0]
+    for other in factors[1:]:
+        aut = aut_compose(aut, other)
+    return aut
+
+
+class TestRayCountProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(small_automorphisms(), st.integers(0, 1))
+    def test_matches_brute_force(self, aut, tail):
+        rc = ray_image_count(aut, tail)
+        assert (rc.m, rc.count) == brute_ray_count(aut, tail)
 
 
 class TestDimensionMultiplier:

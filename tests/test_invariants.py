@@ -7,6 +7,7 @@ from stabaut.invariants import (
     Verdict,
     distinguish_classical,
     distinguish_stabilized,
+    _integer_root,
     omega,
     roots_set,
     sl2_z4_report,
@@ -42,6 +43,16 @@ class TestRootsSet:
         for k in range(1, a.bit_length() + 2):
             has_root = any(c**k == a for c in range(1, a + 1))
             assert (k in rts) == has_root
+
+
+    def test_beyond_float_range(self):
+        # 10**400 overflows a float; its roots are the divisors of 400
+        assert roots_set(10**400) == frozenset(k for k in range(1, 401) if 400 % k == 0)
+
+    @given(st.integers(1, 10**80), st.integers(2, 40))
+    def test_integer_root_exact(self, x, k):
+        assert _integer_root(x**k, k) == x
+        assert _integer_root(x**k + 1, k) is None
 
 
 class TestDistinguishStabilized:

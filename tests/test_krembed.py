@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabaut.codes import (
     StabilizedCode,
@@ -203,6 +206,25 @@ class TestEmbedCode:
             block = tuple(rng.randrange(5) for _ in range(length))
             x = PeriodicPoint(block, rng.randrange(length))
             assert apply_to_periodic(e, x) == embed_oracle(code, SCHEME, x)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 2), st.integers(0, 2), st.integers(5, 6),
+        st.integers(0, 2**32 - 1), st.data(),
+    )
+    def test_oracle_agreement_random_codes(self, period, radius, q, seed, data):
+        # radius 2 walks can turn twice; gap 1 keeps that table small
+        gap = data.draw(st.integers(1, 3 if radius < 2 else 1))
+        rng = np.random.default_rng(seed)
+        code = StabilizedCode(2, period, radius, tuple(
+            rng.integers(0, 2, 2 ** (2 * radius + 1)) for _ in range(period)))
+        scheme = find_marker_scheme(q, 2, gap)
+        e = embed_code(code, scheme)
+        for _ in range(4):
+            length = data.draw(st.integers(1, 8))
+            block = data.draw(st.lists(st.integers(0, q - 1), min_size=length, max_size=length))
+            x = PeriodicPoint(tuple(block), data.draw(st.integers(0, length - 1)))
+            assert apply_to_periodic(e, x) == embed_oracle(code, scheme, x)
 
     def test_data_pattern_preserved(self):
         e = embed_code(shift_power(2, 1).forward, SCHEME)
