@@ -82,6 +82,8 @@ def _code_from_fields(n: int, period: int, radius: int, tables, where: str) -> S
             f"{where}: period {period} and radius {radius} over {n} letters "
             f"exceed the exact-check budget of {MAX_TABLE_ENTRIES} table entries"
         )
+    if type(tables) is not list or any(type(t) is not list for t in tables):
+        raise FileFormatError(f"{where}: tables must be a list of lists")
     if len(tables) != period:
         raise FileFormatError(f"{where}: expected {period} tables, found {len(tables)}")
     want = n ** (2 * radius + 1)
@@ -90,14 +92,14 @@ def _code_from_fields(n: int, period: int, radius: int, tables, where: str) -> S
         if len(table) != want:
             raise FileFormatError(f"{where}: table {ti} has {len(table)} entries, expected {want}")
         for ei, v in enumerate(table):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise FileFormatError(f"{where}: table {ti} entry {ei} out of range: {v!r}")
         arrays.append(np.array(table))
     return StabilizedCode(n, period, radius, tuple(arrays))
 
 
 def automorphism_from_dict(data: dict) -> Automorphism:
-    if data.get("format") != AUTOMORPHISM_FORMAT:
+    if type(data) is not dict or data.get("format") != AUTOMORPHISM_FORMAT:
         raise FileFormatError("not an automorphism file")
     if data.get("version") != FORMAT_VERSION:
         raise FileFormatError(f"unsupported version {data.get('version')}")
@@ -112,6 +114,8 @@ def automorphism_from_dict(data: dict) -> Automorphism:
                 "no inverse record and no inverse found within twice the radius"
             )
         return Automorphism(fwd, inv, verify=False)
+    if type(inv_data) is not dict:
+        raise FileFormatError("inverse: not a JSON object")
     inv = _code_from_fields(
         n, inv_data["period"], inv_data["radius"], inv_data["tables"], "inverse"
     )
@@ -149,7 +153,7 @@ def scheme_to_dict(scheme: MarkerScheme) -> dict:
 
 
 def scheme_from_dict(data: dict) -> MarkerScheme:
-    if data.get("format") != SCHEME_FORMAT:
+    if type(data) is not dict or data.get("format") != SCHEME_FORMAT:
         raise FileFormatError("not a marker scheme file")
     scheme = MarkerScheme(q=data["target_q"], n=data["n"], gap=data["gap"])
     if data.get("data_letters") != list(scheme.data_letters):

@@ -31,6 +31,7 @@ import numpy as np
 from .shifts import (
     PeriodicPoint,
     SftMatrix,
+    index_to_block,
     language_words,
     lcm,
     power_alphabet_index,
@@ -85,46 +86,75 @@ def index_chunks(total: int, chunk: int = WINDOW_CHUNK):
         yield start, np.arange(start, min(start + chunk, total), dtype=np.int64)
 
 
-def _shift_table(n: int, radius: int, j: int) -> np.ndarray:
-    """Radius-`radius` table copying the input at offset j (|j| <= radius)."""
-    idx = np.arange(window_count(n, radius), dtype=np.int64)
-    return subwindow(idx, n, 2 * radius + 1, radius + j, 1).astype(_table_dtype(n))
+# window indices probed before an exact pass, so that a table without
+# the structure is rejected in microseconds
+_PROBE_STEPS = np.arange(1, 9, dtype=np.int64) * 2654435761
 
 
-def _block_tables(n: int, k: int, radius: int, images) -> list[np.ndarray]:
-    """Tables of the code acting on aligned k-blocks by `images`.
+def _agrees(table: np.ndarray, want) -> bool:
+    """table[idx] == want(idx) at a few probe windows, then at every window
+    (in small chunks: the pass runs while the caller's tables are alive)."""
+    probes = _PROBE_STEPS % table.size
+    return np.array_equal(table[probes], want(probes)) and all(
+        np.array_equal(table[start: start + idx.size], want(idx))
+        for start, idx in index_chunks(table.size, 1 << 16))
 
-    At class c the block holding the centre occupies window slots
-    radius-c .. radius-c+k-1 and the output is letter c of its image.
-    """
+
+def _derive_shift(n: int, radius: int, tables) -> int | None:
+    """j if every table copies the input at offset j, else None."""
     width = 2 * radius + 1
-    idx = np.arange(window_count(n, radius), dtype=np.int64)
-    img = np.asarray(images, dtype=np.int64)
-    return [
-        subwindow(img[subwindow(idx, n, width, radius - c, k)], n, k, c, 1).astype(_table_dtype(n))
-        for c in range(k)
-    ]
+    # the window with a single 1 at slot s reads 1 exactly when s = radius + j
+    hits = np.flatnonzero(tables[0][n ** np.arange(width - 1, -1, -1)] == 1) if n > 1 else [radius]
+    if (len(hits) == 1 and all(np.array_equal(t, tables[0]) for t in tables)
+            and _agrees(tables[0], lambda idx: subwindow(idx, n, width, hits[0], 1))):
+        return int(hits[0]) - radius
+    return None
+
+
+def _derive_block_map(n: int, k: int, radius: int, tables, shift_by) -> tuple[int, ...] | None:
+    """The permutation of aligned k-blocks the code applies, if any.
+
+    Class c may read only the slots of the block holding the centre,
+    radius-c .. radius-c+k-1 clipped to the window, and the induced map
+    on blocks must be bijective.  None also when the block form (radius
+    k-1) would not fit the table budget, or for a nonzero shift, which
+    moves letters across block boundaries.
+    """
+    if window_count(n, k - 1) * k > MAX_TABLE_ENTRIES or shift_by not in (None, 0):
+        return None
+    if shift_by == 0:
+        return tuple(range(n**k))
+    width = 2 * radius + 1
+    blocks = np.arange(n**k, dtype=np.int64)
+    images = np.zeros(n**k, dtype=np.int64)
+    for c, t in enumerate(tables):
+        lo, hi = max(0, radius - c), min(width, radius - c + k)
+        pad = n ** (width - hi)
+        # t at the same window with every slot outside lo .. hi-1 set to 0
+        if not _agrees(t, lambda idx: t[subwindow(idx, n, width, lo, hi - lo) * pad]):
+            return None
+        images = images * n + t[subwindow(blocks, n, k, lo - radius + c, hi - lo) * pad]
+    return tuple(images.tolist()) if np.bincount(images, minlength=n**k).min() == 1 else None
 
 
 @dataclass(frozen=True, eq=False)
 class StabilizedCode:
     """k position-dependent block maps of common radius r over A = {0..n-1}.
 
-    `block_map` and `shift_by` are redundant structural metadata.  A
-    block_map records that the code acts blockwise on aligned
-    length-`period` blocks by that permutation of block indices; a
-    shift_by records that the code is a pure shift power.  Either lets
-    compose() and equals() take a structured shortcut, so both are
-    checked against the tables at construction and rejected on any
-    disagreement.
+    The structure is derived from the tables at construction and never
+    passed in, so a code loaded from a file keeps the fast paths of the
+    constructor that made it: `shift_by` is j when the code is the j-th
+    shift power, and `block_map` is the permutation of aligned
+    `period`-blocks when the code acts blockwise.  compose() and equals()
+    take a structured shortcut on either.
     """
 
     n: int
     period: int
     radius: int
     tables: tuple[np.ndarray, ...]
-    block_map: tuple[int, ...] | None = field(default=None)
-    shift_by: int | None = field(default=None)
+    shift_by: int | None = field(init=False, default=None)
+    block_map: tuple[int, ...] | None = field(init=False, default=None)
 
     def __post_init__(self):
         if self.n < 1 or self.period < 1 or self.radius < 0:
@@ -143,31 +173,16 @@ class StabilizedCode:
             arr.flags.writeable = False
             fixed.append(arr)
         object.__setattr__(self, "tables", tuple(fixed))
-        if self.block_map is not None:
-            bm = tuple(int(b) for b in self.block_map)
-            if sorted(bm) != list(range(self.n**self.period)):
-                raise ValueError("block_map must permute the aligned blocks")
-            if self.radius < self.period - 1 or not all(
-                np.array_equal(t, want_t)
-                for t, want_t in zip(fixed, _block_tables(self.n, self.period, self.radius, bm))
-            ):
-                raise ValueError("block_map disagrees with the tables")
-            object.__setattr__(self, "block_map", bm)
-        if self.shift_by is not None:
-            j = int(self.shift_by)
-            if abs(j) > self.radius:
-                raise ValueError(f"shift_by {j} exceeds radius {self.radius}")
-            want_t = _shift_table(self.n, self.radius, j)
-            if not all(np.array_equal(t, want_t) for t in fixed):
-                raise ValueError("shift_by disagrees with the tables")
-            object.__setattr__(self, "shift_by", j)
+        j = _derive_shift(self.n, self.radius, self.tables)
+        bm = _derive_block_map(self.n, self.period, self.radius, self.tables, j)
+        object.__setattr__(self, "shift_by", j)
+        object.__setattr__(self, "block_map", bm)
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "StabilizedCode":
-        return cls(n, 1, 0, (np.arange(n, dtype=_table_dtype(n)),),
-                   block_map=tuple(range(n)), shift_by=0)
+        return cls(n, 1, 0, (np.arange(n, dtype=_table_dtype(n)),))
 
     @classmethod
     def shift(cls, n: int, j: int) -> "StabilizedCode":
@@ -176,16 +191,24 @@ class StabilizedCode:
             return cls.identity(n)
         r = abs(j)
         _check_size(n, r, 1)
-        return cls(n, 1, r, (_shift_table(n, r, j),), shift_by=j)
+        idx = np.arange(window_count(n, r), dtype=np.int64)
+        return cls(n, 1, r, (subwindow(idx, n, 2 * r + 1, r + j, 1).astype(_table_dtype(n)),))
 
     @classmethod
     def from_block_permutation(cls, n: int, k: int, images: tuple[int, ...]) -> "StabilizedCode":
-        """Code acting on aligned k-blocks by a permutation of block indices."""
+        """Code acting on aligned k-blocks by a permutation of block indices.
+
+        At class c the block holding the centre occupies window slots
+        k-1-c .. 2k-2-c and the output is letter c of its image.
+        """
         if sorted(images) != list(range(n**k)):
             raise ValueError("images must permute the n^k blocks")
         _check_size(n, k - 1, k)
-        return cls(n, k, k - 1, tuple(_block_tables(n, k, k - 1, images)),
-                   block_map=tuple(int(i) for i in images))
+        idx = np.arange(window_count(n, k - 1), dtype=np.int64)
+        img = np.asarray(images, dtype=np.int64)
+        tables = (subwindow(img[subwindow(idx, n, 2 * k - 1, k - 1 - c, k)], n, k, c, 1)
+                  for c in range(k))
+        return cls(n, k, k - 1, tuple(t.astype(_table_dtype(n)) for t in tables))
 
     # -- evaluation ---------------------------------------------------
 
@@ -244,9 +267,11 @@ def compose(f: StabilizedCode, g: StabilizedCode) -> StabilizedCode:
         f.block_map is not None
         and g.block_map is not None
         and f.period == g.period
+        and f.radius + g.radius >= f.period - 1
     ):
         # both act blockwise on aligned period-length blocks: compose the
-        # block permutations; radius does not grow.
+        # block permutations at radius period-1, no wider than the dense
+        # result.
         images = tuple(f.block_map[b] for b in g.block_map)
         return StabilizedCode.from_block_permutation(n, f.period, images)
     period = lcm(f.period, g.period)
@@ -317,22 +342,22 @@ def equals(f: StabilizedCode, g: StabilizedCode, sft: SftMatrix | None = None) -
     if f.n != g.n:
         raise ValueError("alphabet mismatch")
     period = lcm(f.period, g.period)
+    radius = max(f.radius, g.radius)
     if (
         sft is None
         and f.block_map is not None
         and g.block_map is not None
+        and f.n**period <= window_count(f.n, radius) * period
     ):
         # aligned blockwise codes agree as maps iff their block
-        # permutations agree after inflating to the common period
+        # permutations agree after inflating to the common period (no
+        # larger than the refined tables)
         fm = _inflate_block_map(f.n, f.period, f.block_map, period // f.period)
         gm = _inflate_block_map(g.n, g.period, g.block_map, period // g.period)
         return np.array_equal(fm, gm)
-    radius = max(f.radius, g.radius)
     fr = f.refine(period, radius)
     gr = g.refine(period, radius)
-    if sft is None:
-        return all(np.array_equal(a, b) for a, b in zip(fr.tables, gr.tables))
-    idx = _admissible_window_indices(f.n, radius, sft)
+    idx = slice(None) if sft is None else _admissible_window_indices(f.n, radius, sft)
     return all(np.array_equal(a[idx], b[idx]) for a, b in zip(fr.tables, gr.tables))
 
 
@@ -347,12 +372,7 @@ def commutes_with_shift_power(code: StabilizedCode, m: int, sft: SftMatrix | Non
         raise ValueError("m must be >= 1")
     period = lcm(code.period, m)
     r = code.refine(period, code.radius)
-    if sft is None:
-        return all(
-            np.array_equal(r.tables[c], r.tables[(c + m) % period])
-            for c in range(period)
-        )
-    idx = _admissible_window_indices(code.n, code.radius, sft)
+    idx = slice(None) if sft is None else _admissible_window_indices(code.n, code.radius, sft)
     return all(
         np.array_equal(r.tables[c][idx], r.tables[(c + m) % period][idx])
         for c in range(period)
@@ -500,7 +520,7 @@ def enumerate_automorphisms(
     out = []
     for tbl_indices in survivors:
         tables = tuple(
-            np.array(_table_from_index(n, w, ti), dtype=_table_dtype(n))
+            np.array(index_to_block(n, w, ti), dtype=_table_dtype(n))
             for ti in tbl_indices
         )
         code = StabilizedCode(n, k, r, tables)
@@ -508,14 +528,6 @@ def enumerate_automorphisms(
         if inv is not None:
             out.append(Automorphism(code, inv))
     return out
-
-
-def _table_from_index(n: int, w: int, idx: int) -> tuple[int, ...]:
-    letters = []
-    for _ in range(w):
-        idx, a = divmod(idx, n)
-        letters.append(a)
-    return tuple(reversed(letters))
 
 
 def _bijective_on_periodics(n: int, r: int, k: int) -> list[tuple[int, ...]]:

@@ -14,6 +14,7 @@ from .codes import (
     Automorphism,
     StabilizedCode,
     _check_size,
+    _inflate_block_map,
     _table_dtype,
     code_power,
     compose_all,
@@ -22,7 +23,7 @@ from .codes import (
     subwindow,
 )
 from .permlab import Permutation
-from .shifts import SftMatrix, index_to_block, lcm, power_alphabet_index
+from .shifts import SftMatrix, lcm
 
 
 @dataclass(frozen=True)
@@ -124,12 +125,9 @@ def swap_commutator_witness(
 
     nk = n**k
     # phi0 on aligned 2k-blocks: apply tau to the first k-sub-block
-    # (2k-block index = hi * n^k + lo in the leftmost-significant reading)
-    images = []
-    for b in range(nk * nk):
-        hi, lo = divmod(b, nk)
-        images.append(tau(hi) * nk + lo)
-    phi0 = symbol_permutation(n, 2 * k, Permutation(tuple(images)))
+    idx = np.arange(nk * nk, dtype=np.int64)
+    images = np.asarray(tau.images)[subwindow(idx, nk, 2, 0, 1)] * nk + subwindow(idx, nk, 2, 1, 1)
+    phi0 = symbol_permutation(n, 2 * k, Permutation(tuple(images.tolist())))
     tau_everywhere = symbol_permutation(n, k, tau)
     sigma_b = shift_power(n, k)
     lhs = tau_everywhere.forward
@@ -148,50 +146,21 @@ def mth_root_of(phi0: Automorphism, m: int) -> Automorphism:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    block = _as_block_permutation(phi0.forward)
-    if block is None:
+    g = phi0.forward.block_map
+    if g is None:
         raise ValueError("phi0 must be a blockwise (0-block) code")
     k = phi0.forward.period
     n = phi0.n
     nk = n**k
-    g = block
-
-    def rotate_apply(idx: int) -> int:
-        subs = []
-        for _ in range(m):
-            idx, lo = divmod(idx, nk)
-            subs.append(lo)
-        subs.reverse()  # subs[0..m-1] now leftmost-first
-        rotated = subs[1:] + subs[:1]
-        rotated[0] = g[rotated[0]]
-        out = 0
-        for s in rotated:
-            out = out * nk + s
-        return out
-
-    images = tuple(rotate_apply(i) for i in range(nk**m))
-    root = symbol_permutation(n, m * k, Permutation(images))
-    target = StabilizedCode.from_block_permutation(n, k, tuple(g))
-    if not equals(code_power(root.forward, m), target):
+    # sub-blocks 0 .. m-1 of each mk-block go to g(sub-block 1), then
+    # sub-blocks 2 .. m-1, then sub-block 0
+    idx = np.arange(nk**m, dtype=np.int64)
+    head = np.asarray(g, dtype=np.int64)[subwindow(idx, nk, m, 1, 1)] * nk ** (m - 1)
+    images = head + subwindow(idx, nk, m, 2, m - 2) * nk + subwindow(idx, nk, m, 0, 1)
+    root = symbol_permutation(n, m * k, Permutation(tuple(images.tolist())))
+    if not equals(code_power(root.forward, m), phi0.forward):
         raise RuntimeError("root construction failed its defining identity")
     return root
-
-
-def _as_block_permutation(code: StabilizedCode) -> tuple[int, ...] | None:
-    if code.block_map is not None:
-        return code.block_map
-    if code.radius == 0 and code.period == 1:
-        return tuple(int(v) for v in code.tables[0])
-    # radius-0 period-k codes act blockwise by the product of the letter maps
-    if code.radius == 0:
-        n, k = code.n, code.period
-        images = []
-        for b in range(n**k):
-            letters = index_to_block(n, k, b)
-            out = [int(code.tables[c][letters[c]]) for c in range(k)]
-            images.append(power_alphabet_index(n, k, out))
-        return tuple(images)
-    return None
 
 
 @dataclass(frozen=True)
@@ -212,21 +181,7 @@ def inflate(perm: SimpleGraphPerm, t: int) -> tuple[SimpleGraphPerm, InflateRepo
     if t < 1:
         raise ValueError("t must be >= 1")
     n, m = perm.n, perm.m
-    nm = n**m
-    base = perm.perm
-
-    def image(idx: int) -> int:
-        subs = []
-        for _ in range(t):
-            idx, lo = divmod(idx, nm)
-            subs.append(lo)
-        subs.reverse()
-        out = 0
-        for s in subs:
-            out = out * nm + base(s)
-        return out
-
-    big = Permutation(tuple(image(i) for i in range(nm**t)))
+    big = Permutation(tuple(_inflate_block_map(n, m, perm.perm.images, t).tolist()))
     cyc = big.cycle_type()
     trans = len(cyc) if all(c == 2 for c in cyc) and cyc else (0 if not cyc else None)
     report = InflateReport(cycle_type=cyc, parity=big.parity(), transposition_count=trans)

@@ -208,26 +208,14 @@ def _in_stretch(config, scheme, j) -> bool:
     return scheme.is_data(config.letter(j))
 
 
-def _next_state(config, scheme, row: str, j: int) -> tuple[str, int]:
-    R = scheme.gap
-    if row == "u":
-        if _in_stretch(config, scheme, j + R):
-            return "u", j + R
-        return "l", j
-    if _in_stretch(config, scheme, j - R):
-        return "l", j - R
-    return "u", j
-
-
-def _prev_state(config, scheme, row: str, j: int) -> tuple[str, int]:
-    R = scheme.gap
-    if row == "u":
-        if _in_stretch(config, scheme, j - R):
-            return "u", j - R
-        return "l", j
-    if _in_stretch(config, scheme, j + R):
-        return "l", j + R
-    return "u", j
+def _step(config, scheme, row: str, j: int, sign: int) -> tuple[str, int]:
+    """One step of the stretch walk, forward (sign 1) or backward (-1): the
+    upper row moves with the sign, the lower row against it, and a walk
+    leaving the stretch turns to the other row in place."""
+    d = scheme.gap * (sign if row == "u" else -sign)
+    if _in_stretch(config, scheme, j + d):
+        return row, j + d
+    return ("l" if row == "u" else "u"), j
 
 
 def _component(scheme, letter: int, row: str) -> int:
@@ -247,16 +235,12 @@ def read_at(config, i: int, scheme: MarkerScheme, span: int) -> tuple[Word, Word
         raise ValueError(f"position {i} is not in any coded stretch")
 
     def walk(start_row):
-        values = [0] * (2 * span + 1)
-        row, j = start_row, i
-        values[span] = _component(scheme, config.letter(j), row)
-        for z in range(1, span + 1):
-            row, j = _next_state(config, scheme, row, j)
-            values[span + z] = _component(scheme, config.letter(j), row)
-        row, j = start_row, i
-        for z in range(1, span + 1):
-            row, j = _prev_state(config, scheme, row, j)
-            values[span - z] = _component(scheme, config.letter(j), row)
+        values = [_component(scheme, config.letter(i), start_row)] * (2 * span + 1)
+        for sign in (1, -1):
+            row, j = start_row, i
+            for z in range(1, span + 1):
+                row, j = _step(config, scheme, row, j, sign)
+                values[span + sign * z] = _component(scheme, config.letter(j), row)
         return tuple(values)
 
     return walk("u"), walk("l")

@@ -12,6 +12,7 @@ immutable value and every function is pure.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -143,17 +144,10 @@ def count_periodic(sft: SftMatrix, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _mobius(n: int) -> int:
-    result, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
+    if n == 1:
+        return 1
+    primes, exps = prime_exponents(n)
+    return 0 if max(exps) > 1 else (-1) ** len(primes)
 
 
 def count_least_period_orbits(n: int, p: int) -> int:
@@ -250,33 +244,83 @@ class PeriodicPoint:
         return f"PeriodicPoint(block={self.block}, phase={self.phase})"
 
 
-def prime_factors(n: int) -> list[int]:
-    """Sorted distinct prime divisors, by trial division."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    out, m, p = [], n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out
+_SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+# Miller-Rabin on the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# rho finds a prime factor p in about sqrt(p) steps: up to about 10^10
+RHO_STEPS = 1 << 18
+
+
+def _is_prime(m: int) -> bool:
+    """Exact primality of an m with no prime factor below 1000."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES[:13]:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    if m >= MR_EXACT_BELOW:
+        raise ValueError(f"cannot prove {m} prime: Miller-Rabin on 13 bases "
+                         f"is exact only below {MR_EXACT_BELOW}")
+    return True
+
+
+def _rho_factor(m: int) -> int:
+    """A proper divisor of the composite m (Pollard rho, Brent's cycle search)."""
+    for c in range(1, 16):
+        x = y = 2
+        g, power, steps = 1, 1, 0
+        while g == 1:
+            if steps == power:
+                x, power, steps = y, 2 * power, 0
+                if power > RHO_STEPS:
+                    raise ValueError(f"no factor of {m} found within {RHO_STEPS} Pollard rho steps")
+            y = (y * y + c) % m
+            steps += 1
+            g = math.gcd(y - x, m)
+        if g != m:
+            return g
+    raise ValueError(f"Pollard rho found no proper divisor of {m}")
 
 
 def prime_exponents(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(sorted primes of n, their exponents in n)."""
-    primes = prime_factors(n)
-    exps = []
-    for p in primes:
-        e, m = 0, n
-        while m % p == 0:
-            e += 1
-            m //= p
-        exps.append(e)
-    return tuple(primes), tuple(exps)
+    """(sorted primes of n, their exponents in n), exactly.
+
+    Trial division by the primes below 1000, then Pollard rho on the rest,
+    every factor proved prime by deterministic Miller-Rabin.  A cofactor
+    that cannot be settled exactly raises ValueError.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    exps: Counter[int] = Counter()
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            n //= p
+            exps[p] += 1
+    # what is left has no prime factor below 1000, so below 1000^2 it is prime
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < 1000**2 or _is_prime(m):
+            exps[m] += 1
+        else:
+            d = _rho_factor(m)
+            pending += [d, m // d]
+    primes = sorted(exps)
+    return tuple(primes), tuple(exps[p] for p in primes)
+
+
+def prime_factors(n: int) -> list[int]:
+    """Sorted distinct prime divisors."""
+    return list(prime_exponents(n)[0])
 
 
 def lcm(a: int, b: int) -> int:

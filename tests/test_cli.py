@@ -4,6 +4,7 @@ import time
 import pytest
 
 from stabaut.cli import (
+    FileFormatError,
     automorphism_from_dict,
     automorphism_to_dict,
     canonical_json,
@@ -12,9 +13,12 @@ from stabaut.cli import (
     run,
     save_automorphism,
     save_scheme,
+    scheme_from_dict,
 )
 from stabaut.codes import aut_equals, equals
-from stabaut.generators import flip, flip_on_even, shift_power
+from stabaut.dimrep import dimension_multiplier
+from stabaut.generators import flip, flip_on_even, shift_power, symbol_permutation
+from stabaut.permlab import Permutation
 from stabaut.krembed import embed_automorphism, find_marker_scheme
 
 
@@ -207,5 +211,57 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda data: [1],
+        lambda data: {**data, "tables": 5},
+        lambda data: {**data, "tables": [5]},
+        lambda data: {**data, "inverse": []},
+        lambda data: {**data, "tables": [[0, True]]},
+        lambda data: {**data, "inverse": {**data["inverse"], "tables": [[False, 1]]}},
+    ], ids=["top-level-list", "tables-int", "table-int", "inverse-list",
+            "bool-entry", "bool-inverse-entry"])
+    def test_malformed_file_is_file_error(self, tmp_path, capsys, edit):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(edit(automorphism_to_dict(flip(2)))))
+        assert run(["dimrep", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("file error: ")
+
+    def test_scheme_needs_an_object(self):
+        with pytest.raises(FileFormatError):
+            scheme_from_dict([1])
+
     def test_identity_transposition_rejected(self, capsys):
         assert run(["verify-commutator", "2", "1", "1"]) == 1
+
+
+class TestStructureAfterLoading:
+    """A saved code gets its shift or block structure back on loading."""
+
+    def test_root_of_saved_block_code(self, tmp_path, capsys):
+        path = tmp_path / "block2.json"
+        save_automorphism(symbol_permutation(2, 2, Permutation((2, 0, 3, 1))), str(path))
+        assert run(["--json", "root", str(path), "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verified"] is True and report["root_period"] == 4
+
+    def test_root_of_saved_radius_zero_letter_map(self, tmp_path, capsys):
+        path = tmp_path / "letters.json"
+        save_automorphism(flip_on_even(2), str(path))
+        assert run(["--json", "root", str(path), "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verified"] is True
+        assert (report["root_period"], report["root_radius"]) == (4, 3)
+
+    def test_dimrep_of_saved_wide_shift(self, tmp_path, capsys):
+        path = tmp_path / "shift12.json"
+        save_automorphism(shift_power(12, 2), str(path))
+        assert load_automorphism(str(path)).forward.shift_by == 2
+        assert run(["--json", "dimrep", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["exponents"] == list(dimension_multiplier(shift_power(12, 2)).exponents)
+
+    def test_invariants_of_a_large_prime(self, capsys):
+        start = time.perf_counter()
+        assert run(["--json", "invariants", "2", str(2**61 - 1)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().out)["roots_n"] == [1]

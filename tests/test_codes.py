@@ -21,9 +21,15 @@ from stabaut.codes import (
     subwindow,
     verify_inverse_pair,
 )
-from stabaut.generators import flip, flip_on_even, shift_power, symbol_permutation
+from stabaut.generators import (
+    flip,
+    flip_on_even,
+    periodic_letter_permutation,
+    shift_power,
+    symbol_permutation,
+)
 from stabaut.permlab import Permutation
-from stabaut.shifts import PeriodicPoint, SftMatrix, lcm, power_alphabet_index
+from stabaut.shifts import PeriodicPoint, SftMatrix, index_to_block, lcm, power_alphabet_index
 
 IDENT2 = StabilizedCode.identity(2)
 FLIP = flip(2).forward
@@ -100,21 +106,94 @@ class TestKernelsAgainstOracle:
             assert apply_to_periodic(refined, x) == apply_to_periodic(code, x)
 
 
+@st.composite
+def structured_codes(draw):
+    """(a shift power, block code or periodic letter map refined to period
+    k*t and radius r+d, its shift exponent: 0 for an identity map, None
+    for any other block map)."""
+    n = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["shift", "block", "letters"]))
+    if kind == "shift":
+        j = draw(st.integers(-2, 2) if n == 2 else st.integers(-1, 1))
+        code = StabilizedCode.shift(n, j)
+    elif kind == "block":
+        k = draw(st.integers(1, 2))
+        perm = Permutation(tuple(draw(st.permutations(range(n**k)))))
+        code = symbol_permutation(n, k, perm).forward
+        j = 0 if perm.is_identity() else None
+    else:
+        perms = [Permutation(tuple(draw(st.permutations(range(n)))))
+                 for _ in range(draw(st.integers(1, 3)))]
+        code = periodic_letter_permutation(n, perms).forward
+        j = 0 if all(p.is_identity() for p in perms) else None
+    t, d = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    return code.refine(code.period * t, code.radius + d), j
+
+
+def blockwise_image(code, x):
+    """Oracle: apply code.block_map to the aligned blocks of x."""
+    k = code.period
+    letters = [x.letter(z) for z in range(lcm(x.period, k))]
+    out = []
+    for start in range(0, len(letters), k):
+        b = power_alphabet_index(code.n, k, letters[start: start + k])
+        out.extend(index_to_block(code.n, k, code.block_map[b]))
+    return PeriodicPoint(tuple(out))
+
+
+def assert_structure_holds(code, x):
+    if code.shift_by is not None:
+        assert apply_to_periodic(code, x) == x.shifted(code.shift_by)
+    if code.block_map is not None:
+        assert apply_to_periodic(code, x) == blockwise_image(code, x)
+
+
 class TestStructureChecked:
-    """block_map and shift_by are checked against the tables."""
+    """block_map and shift_by are derived from the tables, never passed in."""
 
     def test_wrong_block_map_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             StabilizedCode(2, 1, 0, (np.array([1, 0]),), block_map=(0, 1))
-        flip_code = StabilizedCode(2, 1, 0, (np.array([1, 0]),), block_map=(1, 0))
+        flip_code = StabilizedCode(2, 1, 0, (np.array([1, 0]),))
+        assert flip_code.block_map == (1, 0) and flip_code.shift_by is None
         assert equals(flip_code, FLIP) and not equals(flip_code, IDENT2)
 
     def test_shift_by_beyond_radius_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             StabilizedCode(2, 1, 0, (np.array([0, 1]),), shift_by=5)
-        with pytest.raises(ValueError):
-            StabilizedCode(2, 1, 1, IDENT2.refine(1, 1).tables, shift_by=1)
-        assert StabilizedCode(2, 1, 1, SIGMA.tables, shift_by=1).shift_by == 1
+        refined_identity = StabilizedCode(2, 1, 1, IDENT2.refine(1, 1).tables)
+        assert refined_identity.shift_by == 0
+        assert refined_identity.block_map == (0, 1)
+        sigma = StabilizedCode(2, 1, 1, SIGMA.tables)
+        assert sigma.shift_by == 1 and sigma.block_map is None
+
+    def test_reading_across_a_block_boundary_is_not_blockwise(self):
+        # flip at even positions after a shift reads the neighbouring block
+        for code in (compose(FLIP_ON_EVEN, SIGMA), compose(FLIP_ON_EVEN, SIGMA_INV)):
+            assert code.block_map is None and code.shift_by is None
+        # one class also reads the slot just left or right of its block
+        w0, w1, w2 = (np.arange(8) >> 2) & 1, (np.arange(8) >> 1) & 1, np.arange(8) & 1
+        for tables in ((w0 ^ w1, w1), (w1, w1 ^ w2)):
+            assert StabilizedCode(2, 2, 1, tables).block_map is None
+        assert StabilizedCode(2, 2, 1, (w1, w1 ^ w0)).block_map == (0, 1, 3, 2)
+        assert FLIP_ON_EVEN.refine(2, 1).block_map == (2, 3, 0, 1)
+        assert compose(FLIP_ON_EVEN, FLIP_ON_EVEN).block_map == (0, 1, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_code_structure_matches_oracle(self, data):
+        (code,) = data.draw(random_codes())
+        for _ in range(3):
+            assert_structure_holds(code, data.draw(periodic_points(code.n)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_refined_structured_code_keeps_structure(self, data):
+        code, j = data.draw(structured_codes())
+        assert code.shift_by == j
+        assert (code.block_map is not None) == (j in (None, 0))
+        for _ in range(3):
+            assert_structure_holds(code, data.draw(periodic_points(code.n)))
 
     def test_shift_checks_size_before_allocating(self):
         with pytest.raises(CodeSizeExceeded):

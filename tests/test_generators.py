@@ -265,6 +265,56 @@ class TestInflate:
         assert equals(big_aut.forward, small_aut.forward.refine(4, 3))
 
 
+def split_blocks(idx, base, count):
+    """Oracle: the `count` sub-block indices of idx, leftmost first."""
+    subs = []
+    for _ in range(count):
+        idx, lo = divmod(idx, base)
+        subs.append(lo)
+    return subs[::-1]
+
+
+def join_blocks(subs, base):
+    out = 0
+    for s in subs:
+        out = out * base + s
+    return out
+
+
+class TestSubBlockImages:
+    """Block images built with subwindow against sub-block-by-sub-block oracles."""
+
+    @pytest.mark.parametrize("n,k,m", [(2, 1, 2), (2, 1, 4), (3, 1, 3), (2, 2, 2), (2, 2, 3)])
+    def test_root_images(self, n, k, m):
+        nk = n**k
+        images = list(range(nk))
+        random.Random(n * 100 + k * 10 + m).shuffle(images)
+        root = mth_root_of(symbol_permutation(n, k, Permutation(tuple(images))), m)
+        want = []
+        for b in range(nk**m):
+            subs = split_blocks(b, nk, m)
+            want.append(join_blocks([images[subs[1]], *subs[2:], subs[0]], nk))
+        assert root.forward.block_map == tuple(want)
+
+    @pytest.mark.parametrize("n,m,t", [(2, 1, 3), (3, 1, 2), (2, 2, 2)])
+    def test_inflate_images(self, n, m, t):
+        images = list(range(n**m))
+        random.Random(n * 100 + m * 10 + t).shuffle(images)
+        perm = Permutation(tuple(images))
+        big, _ = inflate(SimpleGraphPerm(n, m, perm), t)
+        want = [join_blocks([perm(s) for s in split_blocks(b, n**m, t)], n**m)
+                for b in range(n ** (m * t))]
+        assert big.perm.images == tuple(want)
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (2, 2)])
+    def test_commutator_witness_images(self, n, k):
+        tau = Permutation.transposition(n**k, 0, n**k - 1)
+        phi0, _ = swap_commutator_witness(n, tau, block_len=k)
+        want = [join_blocks([tau(hi), lo], n**k)
+                for hi, lo in (split_blocks(b, n**k, 2) for b in range(n ** (2 * k)))]
+        assert phi0.forward.block_map == tuple(want)
+
+
 class TestRecodeToPower:
     def test_shift_square_recodes_to_four_shift(self):
         sigma2 = aut_compose(shift_power(2, 1), shift_power(2, 1))

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from stabaut.shifts import (
     Alphabet,
     PeriodicPoint,
     SftMatrix,
+    _mobius,
     count_least_period_orbits,
     count_periodic,
     index_to_block,
@@ -192,3 +194,44 @@ class TestAlphabetAndMatrix:
         assert prime_factors(12) == [2, 3]
         assert prime_exponents(12) == ((2, 3), (2, 1))
         assert prime_factors(97) == [97]
+
+
+def trial_division_exponents(n):
+    """Oracle: exponents by plain trial division (small n only)."""
+    exps, p = {}, 2
+    while n > 1:
+        while n % p == 0:
+            exps[p] = exps.get(p, 0) + 1
+            n //= p
+        p += 1
+    return tuple(sorted(exps)), tuple(exps[p] for p in sorted(exps))
+
+
+class TestFactorizer:
+    def test_mersenne_61_is_prime_and_fast(self):
+        start = time.perf_counter()
+        assert prime_factors(2**61 - 1) == [2305843009213693951]
+        assert time.perf_counter() - start < 1.0
+
+    def test_semiprime_beyond_trial_division(self):
+        # both factors are primes above 1000, so Pollard rho must split it
+        assert prime_exponents(1000003 * 998244353) == ((1000003, 998244353), (1, 1))
+        assert prime_exponents(1009**3 * 1000003**2 * 4) == ((2, 1009, 1000003), (2, 3, 2))
+
+    def test_huge_power(self):
+        assert prime_exponents(10**400) == ((2, 5), (400, 400))
+
+    @given(st.integers(2, 10**6))
+    def test_matches_trial_division(self, n):
+        assert prime_exponents(n) == trial_division_exponents(n)
+
+    def test_unsettled_cofactor_raises(self):
+        # 2^89 - 1 is prime but above the exact Miller-Rabin bound
+        with pytest.raises(ValueError, match="exact only below"):
+            prime_factors(2**89 - 1)
+
+    def test_mobius_from_exponents(self):
+        for n in range(1, 200):
+            primes, exps = trial_division_exponents(n)
+            want = 0 if any(e > 1 for e in exps) else (-1) ** len(primes)
+            assert _mobius(n) == want
