@@ -16,20 +16,23 @@ import sys
 import numpy as np
 
 from .codes import (
-    MAX_TABLE_ENTRIES,
     Automorphism,
+    CodeSizeExceeded,
     StabilizedCode,
+    _check_size,
     code_power,
     enumerate_automorphisms,
     equals,
     find_inverse,
     verify_inverse_pair,
 )
-from .dimrep import dimension_multiplier, is_inert
+from .dimrep import dimension_multiplier
 from .generators import mth_root_of, swap_commutator_witness
 from .invariants import distinguish_classical, distinguish_stabilized, omega, roots_set
 from .krembed import MarkerScheme, embed_automorphism, find_marker_scheme
 from .permlab import (
+    MAX_GROUP_DEGREE,
+    DegreeBudgetExceeded,
     GroupHandle,
     Permutation,
     group_order,
@@ -74,14 +77,10 @@ def automorphism_to_dict(aut: Automorphism) -> dict:
 def _code_from_fields(n: int, period: int, radius: int, tables, where: str) -> StabilizedCode:
     if any(type(v) is not int for v in (n, period, radius)) or n < 1 or period < 1 or radius < 0:
         raise FileFormatError(f"{where}: bad n/period/radius")
-    # n^(2r+1) >= 2^(2r+1), so a radius this wide is refused before the
-    # power is computed
-    too_wide = n > 1 and 2 * radius + 1 > MAX_TABLE_ENTRIES.bit_length()
-    if too_wide or n ** (2 * radius + 1) * period > MAX_TABLE_ENTRIES:
-        raise FileFormatError(
-            f"{where}: period {period} and radius {radius} over {n} letters "
-            f"exceed the exact-check budget of {MAX_TABLE_ENTRIES} table entries"
-        )
+    try:
+        _check_size(n, radius, period)
+    except CodeSizeExceeded as exc:
+        raise FileFormatError(f"{where}: {exc}") from None
     if type(tables) is not list or any(type(t) is not list for t in tables):
         raise FileFormatError(f"{where}: tables must be a list of lists")
     if len(tables) != period:
@@ -155,6 +154,8 @@ def scheme_to_dict(scheme: MarkerScheme) -> dict:
 def scheme_from_dict(data: dict) -> MarkerScheme:
     if type(data) is not dict or data.get("format") != SCHEME_FORMAT:
         raise FileFormatError("not a marker scheme file")
+    if any(type(data.get(key)) is not int for key in ("target_q", "n", "gap")):
+        raise FileFormatError("target_q, n and gap must be integers")
     scheme = MarkerScheme(q=data["target_q"], n=data["n"], gap=data["gap"])
     if data.get("data_letters") != list(scheme.data_letters):
         raise FileFormatError("non-canonical data letter set")
@@ -213,8 +214,10 @@ def _parse_cycles(text: str, degree: int) -> Permutation:
             raise ValueError(f"bad character {ch!r} in cycle notation")
     if current is not None:
         raise ValueError("unclosed cycle")
-    top = max((p for c in cycles for p in c), default=-1) + 1
-    return Permutation.from_cycles(max(degree, top), cycles)
+    degree = max([degree] + [p + 1 for c in cycles for p in c])
+    if degree > MAX_GROUP_DEGREE:
+        raise DegreeBudgetExceeded(f"degree {degree} exceeds cap {MAX_GROUP_DEGREE}")
+    return Permutation.from_cycles(degree, cycles)
 
 
 # -- subcommands ----------------------------------------------------------
@@ -257,14 +260,15 @@ def _cmd_dimrep(args) -> tuple[int, dict]:
         "primes": list(vec.primes),
         "exponents": list(vec.exponents),
         "multiplier": str(vec.as_fraction()),
-        "inert": is_inert(aut),
+        "inert": vec.is_zero(),
         "criterion": "ray-image-count",
     }
 
 
 def _cmd_verify_commutator(args) -> tuple[int, dict]:
-    if args.a == args.b:
-        raise ValueError("need two distinct letters")
+    if args.a == args.b or not (0 <= args.a < args.n and 0 <= args.b < args.n):
+        raise ValueError("need two distinct letters in 0 .. n-1")
+    _check_size(args.n, 1, 2)  # phi0, the 2-block code, before tau lists n images
     tau = Permutation.transposition(args.n, args.a, args.b)
     _, verified = swap_commutator_witness(args.n, tau)
     report = {

@@ -60,9 +60,15 @@ def window_count(n: int, radius: int) -> int:
 
 
 def _check_size(n: int, radius: int, period: int) -> None:
-    if window_count(n, radius) * period > MAX_TABLE_ENTRIES:
+    """Refuse `period` tables of n^(2r+1) entries past the budget.  Since
+    n^(2r+1) >= 2^(2r+1), a radius whose 2^(2r+1) alone passes the budget
+    is refused before the power is computed."""
+    width = 2 * radius + 1
+    if (n > 1 and width > MAX_TABLE_ENTRIES.bit_length()
+            or window_count(n, radius) * period > MAX_TABLE_ENTRIES):
         raise CodeSizeExceeded(
-            f"{period} tables of {window_count(n, radius)} entries exceed the exact-check budget"
+            f"{period} tables of {n}^{width} entries exceed the exact-check budget "
+            f"of {MAX_TABLE_ENTRIES}"
         )
 
 

@@ -118,6 +118,7 @@ def swap_commutator_witness(
     (b = block_len).  A False is a build-breaking bug, not a data point.
     """
     k = block_len
+    _check_size(n, 2 * k - 1, 2 * k)  # phi0, before any n^(2k)-entry array
     if tau.degree != n**k:
         raise ValueError("tau must permute the n^k blocks")
     if len(tau.cycles()) != 1 or len(tau.cycles()[0]) != 2:
@@ -151,6 +152,7 @@ def mth_root_of(phi0: Automorphism, m: int) -> Automorphism:
         raise ValueError("phi0 must be a blockwise (0-block) code")
     k = phi0.forward.period
     n = phi0.n
+    _check_size(n, m * k - 1, m * k)  # the root's tables, before its block images
     nk = n**k
     # sub-blocks 0 .. m-1 of each mk-block go to g(sub-block 1), then
     # sub-blocks 2 .. m-1, then sub-block 0

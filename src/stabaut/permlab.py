@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,6 +51,13 @@ class Permutation:
         object.__setattr__(self, "images", images)
 
     @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """Skip the check: products and inverses of permutations are permutations."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "images", images)
+        return out
+
+    @classmethod
     def identity(cls, degree: int) -> "Permutation":
         return cls(tuple(range(degree)))
 
@@ -77,14 +85,13 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        mine = self.images
-        return Permutation(tuple(mine[y] for y in other.images))
+        return Permutation._unchecked(tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for x, y in enumerate(self.images):
             inv[y] = x
-        return Permutation(tuple(inv))
+        return Permutation._unchecked(tuple(inv))
 
     def __pow__(self, e: int) -> "Permutation":
         if e < 0:
@@ -103,7 +110,7 @@ class Permutation:
         return phi.inverse() * self * phi
 
     def is_identity(self) -> bool:
-        return all(i == x for x, i in enumerate(self.images))
+        return self.images == tuple(range(self.degree))
 
     def cycles(self, include_fixed: bool = False) -> tuple[tuple[int, ...], ...]:
         """Canonical cycle decomposition: least element first, cycles sorted."""
@@ -264,9 +271,21 @@ def row_col_class(g: Permutation, n: int) -> str:
 class GroupHandle:
     """Permutation group with a deterministic stabilizer chain.
 
-    Built once with the classical Schreier-Sims algorithm (complete
-    Schreier-generator closure, no randomization), then read-only:
-    exact order, membership, and element enumeration for small groups.
+    Built once by the incremental Schreier-Sims algorithm (Seress,
+    Permutation Group Algorithms, 2003, 4.1; Holt-Eick-O'Brien,
+    Handbook of Computational Group Theory, 2005, 4.4), with no
+    randomization, then read-only: exact order, membership, and element
+    enumeration for small groups.
+
+    Level i holds base point b_i, its generators (which fix b_0 ..
+    b_{i-1}), a transversal {point: (u, u^-1)} with u(b_i) = point, and
+    a queue of the (point, generator) pairs it has not yet processed.  A
+    pair (x, s) whose image s(x) is new extends the transversal in
+    place; otherwise its Schreier generator u_{s(x)}^-1 s u_x is sifted
+    through the deeper levels, and a nontrivial residue becomes a
+    generator of every level from i+1 down to the one where it stuck,
+    opening a new base point if it fixes them all.  Levels are completed
+    deepest first, so each pair is sifted once.
     """
 
     def __init__(self, generators: list[Permutation], degree: int | None = None):
@@ -281,105 +300,65 @@ class GroupHandle:
         self.generators = [g for g in generators if not g.is_identity()]
 
     @cached_property
-    def _chain(self):
+    def _chain(self) -> tuple[list[int], list[dict[int, tuple[Permutation, Permutation]]]]:
+        ident = Permutation.identity(self.degree)
         base: list[int] = []
-        strong: list[Permutation] = []
-        trans: list[dict[int, Permutation]] = []
+        trans: list[dict[int, tuple[Permutation, Permutation]]] = []
+        gens: list[list[Permutation]] = []
+        pending: list[deque] = []
 
-        def fixes_prefix(g, i):
-            return all(g(b) == b for b in base[:i])
-
-        def level_gens(i):
-            return [g for g in strong if fixes_prefix(g, i)]
-
-        def rebuild_transversal(i):
-            gens = level_gens(i)
-            t = {base[i]: Permutation.identity(self.degree)}
-            frontier = [base[i]]
-            while frontier:
-                pt = frontier.pop(0)
-                for g in gens:
-                    img = g(pt)
-                    if img not in t:
-                        t[img] = g * t[pt]
-                        frontier.append(img)
-            if i < len(trans):
-                trans[i] = t
-            else:
-                trans.append(t)
-
-        def sift(g, from_level):
-            """Strip g through levels >= from_level; residue is identity iff
-            g is generated by the (complete) deeper chain."""
-            for i in range(from_level, len(base)):
-                img = g(base[i])
-                if img == base[i]:
-                    continue
-                if img not in trans[i]:
-                    return g
-                g = trans[i][img].inverse() * g
-            return g
-
-        def register(h):
-            """Add a nontrivial element to the strong set, extending the base
-            so every strong generator moves some base point."""
-            if all(h(b) == b for b in base):
+        def add(h, lo):
+            """Make h, which fixes b_0 .. b_{lo-1}, a generator of levels lo
+            to the first whose base point it moves; return that level."""
+            hi = lo
+            while hi < len(base) and h(base[hi]) == base[hi]:
+                hi += 1
+            if hi == len(base):
                 base.append(min(h.support()))
-                rebuild_transversal(len(base) - 1)
-            strong.append(h)
-
-        def complete(i):
-            """Make level i satisfy the Schreier condition, assuming deeper
-            levels already do."""
-            rebuild_transversal(i)
-            while True:
-                gens = level_gens(i)
-                t = trans[i]
-                dirty = False
-                for pt in sorted(t):
-                    rep = t[pt]
-                    for s in gens:
-                        lhs = s * rep
-                        schreier = t[s(pt)].inverse() * lhs
-                        if schreier.is_identity():
-                            continue
-                        residue = sift(schreier, i + 1)
-                        if residue.is_identity():
-                            continue
-                        register(residue)
-                        for lvl in range(len(base) - 1, i, -1):
-                            complete(lvl)
-                        rebuild_transversal(i)
-                        dirty = True
-                        break
-                    if dirty:
-                        break
-                if not dirty:
-                    return
+                trans.append({base[-1]: (ident, ident)})
+                gens.append([])
+                pending.append(deque())
+            for i in range(lo, hi + 1):
+                gens[i].append(h)
+                pending[i].extend((x, h) for x in trans[i])
+            return hi
 
         for g in self.generators:
-            register(g)
-        for i in range(len(base) - 1, -1, -1):
-            complete(i)
-        return base, strong, trans
+            add(g, 0)
+        i = len(base) - 1
+        while i >= 0:
+            if not pending[i]:
+                i -= 1
+                continue
+            x, s = pending[i].popleft()
+            u = s * trans[i][x][0]
+            img = u(base[i])
+            if img not in trans[i]:
+                trans[i][img] = (u, u.inverse())
+                pending[i].extend((img, t) for t in gens[i])
+                continue
+            residue = self._sift(trans[i][img][1] * u, base, trans, i + 1)
+            if not residue.is_identity():
+                i = add(residue, i + 1)
+        return base, trans
+
+    @staticmethod
+    def _sift(g, base, trans, lo=0) -> Permutation:
+        """Strip g through levels lo, lo+1, ...; the residue is the identity
+        iff g lies in the group those levels describe."""
+        for b, t in zip(base[lo:], trans[lo:]):
+            img = g(b)
+            if img != b:
+                if img not in t:
+                    return g
+                g = t[img][1] * g
+        return g
 
     def order(self) -> int:
-        _, _, trans = self._chain
-        out = 1
-        for t in trans:
-            out *= len(t)
-        return out
+        return math.prod(len(t) for t in self._chain[1])
 
     def contains(self, g: Permutation) -> bool:
-        if g.degree != self.degree:
-            return False
-        base, _, trans = self._chain
-        for i in range(len(base)):
-            img = g(base[i])
-            if img not in trans[i]:
-                return False
-            g = trans[i][img].inverse() * g
-        return g.is_identity()
+        return g.degree == self.degree and self._sift(g, *self._chain).is_identity()
 
     def elements(self, limit: int = 250_000) -> list[Permutation]:
         """All elements, sorted by image tuple, if the order fits the limit."""
@@ -489,8 +468,9 @@ def _isolate_prime_cycle(g: Permutation, max_prime: int):
 def jordan_verdict(group: GroupHandle) -> str:
     """'Sym', 'Alt', or 'Unknown' (one-sided; Unknown is not a disproof).
 
-    A primitive group containing a p-cycle for a prime p < degree - 2 is
-    alternating or symmetric; the order separates the two.
+    A primitive group containing a p-cycle for a prime p < degree - 2
+    contains the alternating group (Wielandt, Finite Permutation Groups,
+    1964, Thm 13.9), so it is symmetric exactly when a generator is odd.
     """
     primitive, _ = is_primitive(group)
     if not primitive:
@@ -500,13 +480,7 @@ def jordan_verdict(group: GroupHandle) -> str:
     candidates += [a * b for a, b in itertools.combinations(group.generators, 2)]
     if not any(_isolate_prime_cycle(g, max_prime) for g in candidates):
         return "Unknown"
-    full = math.factorial(group.degree)
-    order = group.order()
-    if order == full:
-        return "Sym"
-    if order == full // 2:
-        return "Alt"
-    return "Unknown"
+    return "Sym" if any(g.parity() for g in group.generators) else "Alt"
 
 
 # -- Goursat --------------------------------------------------------------

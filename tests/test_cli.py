@@ -14,6 +14,7 @@ from stabaut.cli import (
     save_automorphism,
     save_scheme,
     scheme_from_dict,
+    scheme_to_dict,
 )
 from stabaut.codes import aut_equals, equals
 from stabaut.dimrep import dimension_multiplier
@@ -232,6 +233,40 @@ class TestExitCodes:
 
     def test_identity_transposition_rejected(self, capsys):
         assert run(["verify-commutator", "2", "1", "1"]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify-commutator", "1000000000000", "0", "1"], "budget"),
+        (["verify-commutator", "3", "0", "5"], "distinct letters"),
+        (["perm", "order", "(1 2)", "--degree", "1000000000000"], "exceeds cap"),
+        (["perm", "order", "(1 1000000000000)"], "exceeds cap"),
+    ], ids=["commutator-alphabet", "commutator-letter", "perm-degree", "perm-point"])
+    def test_oversized_or_bad_argument_refused(self, capsys, argv, message):
+        start = time.perf_counter()
+        assert run(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("aut, argv", [
+        (flip(2), ["root", "{}", "40"]),
+        (shift_power(2, 1), ["embed", "{}", "--target", "5", "--gap", "3000000"]),
+    ], ids=["root", "embed"])
+    def test_oversized_code_refused_before_allocating(self, tmp_path, capsys, aut, argv):
+        path = tmp_path / "aut.json"
+        save_automorphism(aut, str(path))
+        start = time.perf_counter()
+        assert run([arg.format(path) for arg in argv]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "exceed the exact-check budget" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: {**data, "target_q": "7"},
+        lambda data: {key: v for key, v in data.items() if key != "gap"},
+    ], ids=["string-target", "missing-gap"])
+    def test_scheme_fields_must_be_integers(self, edit):
+        data = edit(scheme_to_dict(find_marker_scheme(5, 2, 2)))
+        with pytest.raises(FileFormatError, match="must be integers"):
+            scheme_from_dict(data)
 
 
 class TestStructureAfterLoading:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -198,6 +199,13 @@ class TestStructureChecked:
     def test_shift_checks_size_before_allocating(self):
         with pytest.raises(CodeSizeExceeded):
             StabilizedCode.shift(2, 13)
+
+    def test_huge_shift_refused_before_the_power(self):
+        # 3^(2*10^6+1) has about 10^6 digits: neither computed nor printed
+        start = time.perf_counter()
+        with pytest.raises(CodeSizeExceeded, match=r"3\^2000001 entries"):
+            StabilizedCode.shift(3, 10**6)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEvaluate:

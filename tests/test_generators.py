@@ -4,6 +4,7 @@ import random
 import pytest
 
 from stabaut.codes import (
+    CodeSizeExceeded,
     StabilizedCode,
     apply_to_periodic,
     aut_compose,
@@ -124,6 +125,11 @@ class TestSwapCommutator:
         with pytest.raises(ValueError):
             swap_commutator_witness(2, Permutation.identity(2))
 
+    def test_alphabet_past_budget_refused(self):
+        # phi0 would need 2 tables of 400^3 entries
+        with pytest.raises(CodeSizeExceeded):
+            swap_commutator_witness(400, Permutation.transposition(400, 0, 1))
+
     def test_sft_restricted(self):
         sft = SftMatrix(((2, 1), (1, 1)))  # parallel loop pair at vertex 0
         tau = Permutation.transposition(5, 0, 1)
@@ -132,6 +138,11 @@ class TestSwapCommutator:
 
 
 class TestMthRoot:
+    def test_root_past_budget_refused_before_its_images(self):
+        # the 40th root has 40 tables of 2^79 entries (2^40 block images)
+        with pytest.raises(CodeSizeExceeded):
+            mth_root_of(flip(2), 40)
+
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("base", ["flip", "identity"])
     def test_root_power_identity(self, m, base):

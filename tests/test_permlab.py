@@ -84,6 +84,14 @@ class TestPermutationBasics:
         p = random_permutation(rng, degree)
         assert (p * p.inverse()).is_identity()
 
+    @given(st.integers(1, 12), st.randoms())
+    @settings(max_examples=60, deadline=None)
+    def test_products_and_inverses_pass_the_public_check(self, degree, rng):
+        a, b = random_permutation(rng, degree), random_permutation(rng, degree)
+        for p in (a * b, a.inverse(), (a * b).inverse() * a):
+            assert Permutation(p.images) == p
+            assert type(p.images) is tuple and all(type(i) is int for i in p.images)
+
 
 class TestStar:
     def test_disjoint_supports_commute(self):
@@ -194,6 +202,41 @@ class TestGroupHandle:
             handle = GroupHandle(p_generators(n))
             assert group_order(handle) == math.factorial(n) ** 2
 
+    def test_trivial_group(self):
+        handle = GroupHandle([], degree=4)
+        assert handle.order() == 1
+        assert handle.contains(Permutation.identity(4))
+        assert not handle.contains(Permutation.transposition(4, 0, 1))
+
+    def test_order_and_membership_match_sympy(self):
+        sympy_comb = pytest.importorskip("sympy.combinatorics")
+        rng = random.Random(31)
+        outsiders = 0
+        for _ in range(120):
+            degree = rng.randrange(2, 21)
+            gens = []
+            for _ in range(rng.randrange(1, 4)):
+                if rng.random() < 0.5:
+                    gens.append(random_permutation(rng, degree))
+                else:
+                    # a short cycle, so that small and intransitive groups occur
+                    pts = rng.sample(range(degree), rng.randrange(2, min(degree, 5) + 1))
+                    gens.append(Permutation.from_cycles(degree, [pts]))
+            handle = GroupHandle(gens, degree=degree)
+            oracle = sympy_comb.PermutationGroup(
+                [sympy_comb.Permutation(list(g.images)) for g in gens])
+            assert handle.order() == oracle.order()
+            for _ in range(4):
+                member = gens[rng.randrange(len(gens))]
+                for _ in range(rng.randrange(1, 6)):
+                    member = gens[rng.randrange(len(gens))] * member
+                assert handle.contains(member)
+                other = random_permutation(rng, degree)
+                inside = oracle.contains(sympy_comb.Permutation(list(other.images)))
+                assert handle.contains(other) == inside
+                outsiders += not inside
+        assert outsiders > 100
+
 
 class TestPrimitivity:
     def test_cyclic_four_witness(self):
@@ -242,6 +285,13 @@ class TestJordan:
             ]
         )
         assert jordan_verdict(g) == "Alt"
+
+    def test_grid_verdict_by_parity_without_a_chain(self):
+        n = 7
+        gamma_a = Permutation.transposition(n * n, grid_index(n, 2, 1), grid_index(n, 3, 2))
+        handle = GroupHandle(p_generators(n) + [gamma_a])
+        assert jordan_verdict(handle) == "Sym"
+        assert "_chain" not in vars(handle)
 
     def test_imprimitive_unknown(self):
         assert jordan_verdict(GroupHandle([Permutation.from_cycles(4, [(0, 1, 2, 3)])])) == "Unknown"
