@@ -20,6 +20,7 @@ from .codes import (
     CodeSizeExceeded,
     StabilizedCode,
     _check_size,
+    _power_exceeds,
     code_power,
     enumerate_automorphisms,
     equals,
@@ -242,6 +243,12 @@ def _cmd_invariants(args) -> tuple[int, dict]:
 
 
 def _cmd_orbits(args) -> tuple[int, dict]:
+    # the count is at least n^p / (2p), and the report prints it in decimal
+    digits = sys.get_int_max_str_digits()
+    if (min(args.n, args.p) >= 1 and digits
+            and _power_exceeds(args.n, args.p, 2 * args.p * 10**digits)):
+        raise ValueError(f"the count of orbits of least period {args.p} over {args.n} letters "
+                         f"has more than the {digits} digits a report can print")
     count = count_least_period_orbits(args.n, args.p)
     return 0, {
         "n": args.n,

@@ -14,7 +14,13 @@ kernel reads windows through one primitive,
     subwindow(idx, n, width, lo, w) = (idx // n^(width-lo-w)) % n^w,
 
 the index of the w-letter sub-window starting at slot lo of each
-width-letter window in idx; no kernel builds a matrix of letters.
+width-letter window in idx; no kernel builds a matrix of letters.  Every
+kernel reads a code's outputs through one more,
+
+    read_outputs(code, windows, first),
+
+the index, in the same convention, of the outputs at positions first,
+first+1, ... given the input window index at each of them.
 
 Tables are dense numpy arrays, so every comparison below is an exact,
 exhaustive check over all windows.  Size guards keep that honest:
@@ -59,13 +65,17 @@ def window_count(n: int, radius: int) -> int:
     return n ** (2 * radius + 1)
 
 
+def _power_exceeds(n: int, e: int, budget: int, factor: int = 1) -> bool:
+    """Whether factor * n^e > budget (factor >= 1).  Since n^e >= 2^e for
+    n > 1, an exponent whose 2^e alone passes the budget is decided by bit
+    length, before the power is computed."""
+    return n > 1 and e > budget.bit_length() or factor * n**e > budget
+
+
 def _check_size(n: int, radius: int, period: int) -> None:
-    """Refuse `period` tables of n^(2r+1) entries past the budget.  Since
-    n^(2r+1) >= 2^(2r+1), a radius whose 2^(2r+1) alone passes the budget
-    is refused before the power is computed."""
+    """Refuse `period` tables of n^(2r+1) entries past the budget."""
     width = 2 * radius + 1
-    if (n > 1 and width > MAX_TABLE_ENTRIES.bit_length()
-            or window_count(n, radius) * period > MAX_TABLE_ENTRIES):
+    if _power_exceeds(n, width, MAX_TABLE_ENTRIES, period):
         raise CodeSizeExceeded(
             f"{period} tables of {n}^{width} entries exceed the exact-check budget "
             f"of {MAX_TABLE_ENTRIES}"
@@ -77,6 +87,21 @@ def subwindow(idx, n: int, width: int, lo: int, w: int):
     width-letter window index in `idx` (leftmost-significant; idx and lo
     may be ints or numpy arrays)."""
     return (idx // n ** (width - lo - w)) % n**w
+
+
+def read_outputs(code: StabilizedCode, windows, first: int) -> np.ndarray:
+    """Leftmost-significant index of the code's outputs at positions
+    first, first+1, ..., where the i-th entry of `windows` is the index
+    array of the input windows at position first + i.  Each window is
+    read as it is produced, so a generator holds one at a time."""
+    out = None
+    for pos, win in enumerate(windows, start=first):
+        if out is None:
+            # zeroed up front: an accumulator made by the first addition raised peak RSS
+            out = np.zeros(win.shape, dtype=np.int64)
+        out *= code.n
+        out += code.tables[pos % code.period][win]
+    return out
 
 
 WINDOW_CHUNK = 1 << 19
@@ -126,7 +151,7 @@ def _derive_block_map(n: int, k: int, radius: int, tables, shift_by) -> tuple[in
     k-1) would not fit the table budget, or for a nonzero shift, which
     moves letters across block boundaries.
     """
-    if window_count(n, k - 1) * k > MAX_TABLE_ENTRIES or shift_by not in (None, 0):
+    if _power_exceeds(n, 2 * k - 1, MAX_TABLE_ENTRIES, k) or shift_by not in (None, 0):
         return None
     if shift_by == 0:
         return tuple(range(n**k))
@@ -226,9 +251,6 @@ class StabilizedCode:
         idx = power_alphabet_index(self.n, len(window), window)
         return int(self.tables[position_class % self.period][idx])
 
-    def evaluate_indices(self, position_class: int, indices: np.ndarray) -> np.ndarray:
-        return self.tables[position_class % self.period][indices]
-
     # -- structural transforms -----------------------------------------
 
     def refine(self, period: int, radius: int) -> "StabilizedCode":
@@ -289,20 +311,9 @@ def compose(f: StabilizedCode, g: StabilizedCode) -> StabilizedCode:
         inner = [subwindow(idx, n, 2 * radius + 1, lo, 2 * g.radius + 1)
                  for lo in range(2 * f.radius + 1)]
         for c in range(period):
-            outer = _image_windows(g, inner, c)
-            tables[c][start: start + idx.size] = f.evaluate_indices(c, outer)
+            outer = read_outputs(g, inner, c - f.radius)
+            tables[c][start: start + idx.size] = f.tables[c % f.period][outer]
     return StabilizedCode(n, period, radius, tuple(tables))
-
-
-def _image_windows(g: StabilizedCode, inner: list[np.ndarray], c: int) -> np.ndarray:
-    """Index of the window of g's outputs at positions c-s .. c+s, where
-    inner[s + d] holds the index of g's input window at position c + d."""
-    s = len(inner) // 2
-    out = np.zeros(inner[0].shape, dtype=np.int64)
-    for d, win in enumerate(inner, start=-s):
-        out *= g.n
-        out += g.evaluate_indices(c + d, win)
-    return out
 
 
 def compose_all(*codes: StabilizedCode) -> StabilizedCode:
@@ -408,9 +419,10 @@ class Automorphism:
     """A stabilized code together with a verified two-sided inverse.
 
     Verification composes the pair both ways and compares against the
-    identity over every window.  Callers composing already-verified
-    pairs may pass verify=False when the identity holds by construction
-    and the exhaustive check would not fit the table budget.
+    identity over every window.  Callers may pass verify=False when the
+    pair was verified already (find_inverse returns only verified
+    inverses) or when the identity holds by construction and the
+    exhaustive check would not fit the table budget.
     """
 
     forward: StabilizedCode
@@ -445,7 +457,7 @@ class Automorphism:
 
 def _verification_fits(fwd: StabilizedCode, inv: StabilizedCode) -> bool:
     period = lcm(fwd.period, inv.period)
-    return window_count(fwd.n, fwd.radius + inv.radius) * period <= MAX_TABLE_ENTRIES
+    return not _power_exceeds(fwd.n, 2 * (fwd.radius + inv.radius) + 1, MAX_TABLE_ENTRIES, period)
 
 
 def aut_compose(a: Automorphism, b: Automorphism) -> Automorphism:
@@ -482,46 +494,37 @@ def find_inverse(code: StabilizedCode, max_radius: int) -> StabilizedCode | None
         idx = np.arange(window_count(n, span), dtype=np.int64)
         inner = [subwindow(idx, n, width, lo, 2 * r + 1) for lo in range(2 * s + 1)]
         centre = subwindow(idx, n, width, span, 1)
-        ok = True
         tables = []
         for c in range(k):
-            out_idx = _image_windows(code, inner, c)
+            out_idx = read_outputs(code, inner, c - s)
             table = np.full(window_count(n, s), -1, dtype=np.int64)
             table[out_idx] = centre
-            conflict = table[out_idx] != centre
-            if conflict.any():
-                ok = False
-                break
+            if (table[out_idx] != centre).any():
+                break  # a conflict rules out radius s
             table[table < 0] = 0
             tables.append(table.astype(_table_dtype(n)))
-        if not ok:
-            continue
-        cand = StabilizedCode(n, k, s, tuple(tables))
-        if verify_inverse_pair(code, cand):
-            return cand
+        else:
+            cand = StabilizedCode(n, k, s, tuple(tables))
+            if verify_inverse_pair(code, cand):
+                return cand
     return None
 
 
-def enumerate_automorphisms(
-    n: int,
-    r: int,
-    k: int,
-    inverse_radius: int | None = None,
-    budget: int = 200_000,
-) -> list[Automorphism]:
+def enumerate_automorphisms(n: int, r: int, k: int, budget: int = 200_000) -> list[Automorphism]:
     """Exhaustive census of invertible codes of the given shape.
 
     Every code with period k and radius r whose inverse has radius at
-    most `inverse_radius` (default 2r) is returned with that inverse, in
-    the canonical order of the table-index tuples.
+    most 2r is returned with that inverse, in the canonical order of the
+    table-index tuples.
     """
-    if inverse_radius is None:
-        inverse_radius = 2 * r
+    if n < 1 or r < 0 or k < 1:
+        raise ValueError(f"bad census shape: need n >= 1, r >= 0, k >= 1, got {n}, {r}, {k}")
+    # n^(w*k) candidates for w = n^(2r+1) windows; w*k is tested by bit length first
+    if (n > 1 and _power_exceeds(n, 2 * r + 1, budget.bit_length(), k)
+            or _power_exceeds(n, window_count(n, r) * k, budget)):
+        raise BudgetExceeded(
+            f"{n}^(w*{k}) candidates for w = {n}^{2 * r + 1} windows exceed budget {budget}")
     w = window_count(n, r)
-    candidates = n ** (w * k)
-    if candidates > budget:
-        raise BudgetExceeded(f"{candidates} candidates exceed budget {budget}")
-
     survivors = _bijective_on_periodics(n, r, k)
     out = []
     for tbl_indices in survivors:
@@ -530,9 +533,10 @@ def enumerate_automorphisms(
             for ti in tbl_indices
         )
         code = StabilizedCode(n, k, r, tables)
-        inv = find_inverse(code, inverse_radius)
+        inv = find_inverse(code, 2 * r)
         if inv is not None:
-            out.append(Automorphism(code, inv))
+            # find_inverse returns only a verified inverse
+            out.append(Automorphism(code, inv, verify=False))
     return out
 
 

@@ -20,6 +20,7 @@ from .codes import (
     compose_all,
     equals,
     index_chunks,
+    read_outputs,
     subwindow,
 )
 from .permlab import Permutation
@@ -220,9 +221,6 @@ def _recode_code(code: StabilizedCode) -> StabilizedCode:
     _check_size(n**k, big_r, 1)
     table = np.empty(n**width, dtype=_table_dtype(n**k))
     for start, idx in index_chunks(n**width):
-        out = np.zeros(idx.shape, dtype=np.int64)
-        for c in range(k):
-            out *= n
-            out += code.evaluate_indices(c, subwindow(idx, n, width, big_r * k + c - r, 2 * r + 1))
-        table[start: start + idx.size] = out
+        windows = (subwindow(idx, n, width, big_r * k + c - r, 2 * r + 1) for c in range(k))
+        table[start: start + idx.size] = read_outputs(code, windows, 0)
     return StabilizedCode(n**k, 1, big_r, (table,))

@@ -86,54 +86,37 @@ class MarkerScheme:
         return upper * self.n + lower
 
 
-def find_marker_scheme(
-    target: int | SftMatrix, n: int, gap: int, feasibility_bound: int = 2
-) -> MarkerScheme:
+def find_marker_scheme(target: int | SftMatrix, n: int, gap: int) -> MarkerScheme:
     """Canonical scheme on a target shift: first n^2 letters carry data.
 
     Full-shift targets need only enough letters.  For an SFT target the
-    bounded feasibility check realizes every data word up to the given
-    length as a stretch delimited by non-data letters; failure raises
+    bounded feasibility check realizes every data word of length 1 or 2
+    as a stretch delimited by non-data letters; failure raises
     FeasibilityUnverified.
     """
     if isinstance(target, int):
         return MarkerScheme(q=target, n=n, gap=gap)
     scheme = MarkerScheme(q=target.edge_count, n=n, gap=gap, sft=target)
-    _check_sft_feasibility(scheme, target, feasibility_bound)
+    _check_sft_feasibility(scheme, target)
     return scheme
 
 
-def _check_sft_feasibility(scheme: MarkerScheme, sft: SftMatrix, bound: int) -> None:
+def _check_sft_feasibility(scheme: MarkerScheme, sft: SftMatrix) -> None:
     ends = sft.edge_endpoints()
-    q, R = scheme.q, scheme.gap
-
-    def search(constraints: dict[int, int], length: int) -> bool:
-        def extend(pos: int, vertex: int | None) -> bool:
-            if pos == length:
-                return True
-            for e in range(q):
-                if pos in constraints and constraints[pos] != e:
-                    continue
-                if pos in neg_constraints and scheme.is_data(e):
-                    continue
-                s, t = ends[e]
-                if vertex is not None and s != vertex:
-                    continue
-                if extend(pos + 1, t):
-                    return True
-            return False
-
-        neg_constraints = {p for p, v in constraints.items() if v == -1}
-        constraints = {p: v for p, v in constraints.items() if v >= 0}
-        return extend(0, None)
-
-    for length in range(1, bound + 1):
-        span = (length + 1) * R + 1
+    R = scheme.gap
+    markers = [e for e in range(scheme.q) if not scheme.is_data(e)]
+    for length in (1, 2):
         for seq in itertools.product(scheme.data_letters, repeat=length):
-            constraints = {0: -1, span - 1: -1}
+            # the letters allowed at each position: a marker at both ends
+            # and the data word at every R-th position between them
+            allowed = [range(scheme.q)] * ((length + 1) * R + 1)
+            allowed[0] = allowed[-1] = markers
             for i, d in enumerate(seq):
-                constraints[(i + 1) * R] = d
-            if not search(constraints, span):
+                allowed[(i + 1) * R] = (d,)
+            reach = {s for s, _ in ends}  # vertices a path can stand at
+            for letters in allowed:
+                reach = {ends[e][1] for e in letters if ends[e][0] in reach}
+            if not reach:
                 raise FeasibilityUnverified(
                     f"data word {seq} not realizable as a stretch at gap {R}"
                 )

@@ -112,8 +112,9 @@ class Permutation:
     def is_identity(self) -> bool:
         return self.images == tuple(range(self.degree))
 
-    def cycles(self, include_fixed: bool = False) -> tuple[tuple[int, ...], ...]:
-        """Canonical cycle decomposition: least element first, cycles sorted."""
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Canonical cycle decomposition without fixed points: least
+        element first, cycles sorted."""
         seen = [False] * self.degree
         out = []
         for start in range(self.degree):
@@ -126,7 +127,7 @@ class Permutation:
                 seen[x] = True
                 cyc.append(x)
                 x = self.images[x]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return tuple(sorted(out))
 
@@ -662,6 +663,8 @@ def p_cycle_search(
     candidate.  Returns (p, permutation, certificate_word, alphabet) or
     None.  An empty result is never a disproof.
     """
+    if n < 2:
+        raise ValueError(f"grid side {n} must be at least 2")
     degree = n * n
     for g in generators:
         if g.degree != degree:

@@ -21,6 +21,7 @@ from stabaut.dimrep import dimension_multiplier
 from stabaut.generators import flip, flip_on_even, shift_power, symbol_permutation
 from stabaut.permlab import Permutation
 from stabaut.krembed import embed_automorphism, find_marker_scheme
+from stabaut.shifts import count_least_period_orbits
 
 
 @pytest.fixture
@@ -104,6 +105,10 @@ class TestCommands:
     def test_orbits(self, capsys):
         assert run(["orbits", "3", "3"]) == 0
         assert "8 orbits of least period 3" in capsys.readouterr().out
+
+    def test_orbits_below_the_print_limit(self, capsys):
+        assert run(["--json", "orbits", "2", "14000"]) == 0
+        assert json.loads(capsys.readouterr().out)["orbits"] == count_least_period_orbits(2, 14000)
 
     def test_dimrep_flip(self, capsys, flip_file):
         assert run(["dimrep", flip_file]) == 0
@@ -239,7 +244,15 @@ class TestExitCodes:
         (["verify-commutator", "3", "0", "5"], "distinct letters"),
         (["perm", "order", "(1 2)", "--degree", "1000000000000"], "exceeds cap"),
         (["perm", "order", "(1 1000000000000)"], "exceeds cap"),
-    ], ids=["commutator-alphabet", "commutator-letter", "perm-degree", "perm-point"])
+        (["enumerate", "2", "-1", "1"], "bad census shape"),
+        (["enumerate", "2", "1", "0"], "bad census shape"),
+        (["enumerate", "100", "3", "3"], "100^(w*3) candidates for w = 100^7 windows exceed"),
+        (["orbits", "10", "1000000000"], "more than the 4300 digits"),
+        (["orbits", "2", "15000"], "more than the 4300 digits"),
+        (["perm", "pcycle", "--side", "1", "(1)"], "grid side 1 must be at least 2"),
+    ], ids=["commutator-alphabet", "commutator-letter", "perm-degree", "perm-point",
+            "census-radius", "census-period", "census-size", "orbits-huge", "orbits-unprintable",
+            "pcycle-side"])
     def test_oversized_or_bad_argument_refused(self, capsys, argv, message):
         start = time.perf_counter()
         assert run(argv) == 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import numpy as np
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from stabaut.codes import (
     Automorphism,
+    BudgetExceeded,
     CodeSizeExceeded,
     StabilizedCode,
+    _power_exceeds,
     apply_to_periodic,
     aut_compose,
     aut_equals,
@@ -19,6 +22,7 @@ from stabaut.codes import (
     enumerate_automorphisms,
     equals,
     find_inverse,
+    read_outputs,
     subwindow,
     verify_inverse_pair,
 )
@@ -80,6 +84,34 @@ class TestSubwindow:
         want = power_alphabet_index(n, w, letters[lo: lo + w])
         assert subwindow(idx, n, width, lo, w) == want
         assert subwindow(np.array([idx], dtype=np.int64), n, width, lo, w)[0] == want
+
+
+class TestReadOutputs:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_letter_encoding(self, data):
+        (code,) = data.draw(random_codes())
+        first = data.draw(st.integers(-4, 4))
+        count = data.draw(st.integers(1, 4))
+        windows = [data.draw(st.lists(st.integers(0, code.n - 1), min_size=2 * code.radius + 1,
+                                      max_size=2 * code.radius + 1)) for _ in range(count)]
+        letters = [code.evaluate(first + i, win) for i, win in enumerate(windows)]
+        idx = (np.array([power_alphabet_index(code.n, len(win), win)], dtype=np.int64)
+               for win in windows)
+        out = read_outputs(code, idx, first)
+        assert out.dtype == np.int64
+        assert out[0] == power_alphabet_index(code.n, count, letters)
+
+
+class TestPowerExceeds:
+    @given(st.integers(0, 6), st.integers(0, 40), st.integers(0, 10**6), st.integers(1, 5))
+    def test_matches_the_power(self, n, e, budget, factor):
+        assert _power_exceeds(n, e, budget, factor) == (factor * n**e > budget)
+
+    def test_huge_exponent_decided_by_bit_length(self):
+        start = time.perf_counter()
+        assert _power_exceeds(2, 10**18, 10**6)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestKernelsAgainstOracle:
@@ -410,6 +442,14 @@ class TestInversePairs:
         assert inv is not None
         assert equals(inv, SIGMA_INV)
 
+    def test_find_inverse_of_period_two_code_at_least_radius(self):
+        # the inverse has period 2 and radius 1, so the search must read
+        # the output at each position through that position's class
+        code = compose(SIGMA, FLIP_ON_EVEN)
+        inv = find_inverse(code, 2)
+        assert inv.radius == 1
+        assert equals(inv, compose(FLIP_ON_EVEN, SIGMA_INV))
+
     def test_find_inverse_rejects_noninvertible(self):
         # x_z AND x_{z+1} is not invertible
         table = np.array([0, 0, 0, 1, 0, 0, 1, 1])
@@ -443,6 +483,20 @@ class TestEnumerate:
     def test_budget(self):
         with pytest.raises(Exception):
             enumerate_automorphisms(3, 2, 2, budget=10)
+
+    @pytest.mark.parametrize("n, r, k, budget", [
+        (3, 2, 2, 10), (100, 3, 3, 200_000), (2, 10**9, 1, 200_000),
+    ])
+    def test_budget_refused_before_any_power(self, n, r, k, budget):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match=re.escape(f"{n}^(w*{k}) candidates")):
+            enumerate_automorphisms(n, r, k, budget=budget)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("n, r, k", [(2, -1, 1), (2, 1, 0), (0, 0, 1)])
+    def test_bad_shape_rejected(self, n, r, k):
+        with pytest.raises(ValueError, match="bad census shape"):
+            enumerate_automorphisms(n, r, k)
 
     def test_enumerated_act_faithfully_on_period_three(self):
         auts = enumerate_automorphisms(2, 1, 1)

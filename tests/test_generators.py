@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabaut.codes import (
     CodeSizeExceeded,
@@ -16,6 +19,7 @@ from stabaut.codes import (
 )
 from stabaut.generators import (
     SimpleGraphPerm,
+    _recode_code,
     edge_permutation_code,
     flip,
     flip_on_even,
@@ -29,7 +33,7 @@ from stabaut.generators import (
     symbol_permutation,
 )
 from stabaut.permlab import Permutation
-from stabaut.shifts import PeriodicPoint, SftMatrix
+from stabaut.shifts import PeriodicPoint, SftMatrix, power_alphabet_index
 
 
 class TestShiftPower:
@@ -344,6 +348,27 @@ class TestRecodeToPower:
         # block (a, b) -> (flip a, b): 00<->10, 01<->11
         want = symbol_permutation(4, 1, Permutation((2, 3, 0, 1)))
         assert aut_equals(recoded, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3), st.integers(1, 3), st.integers(0, 1), st.integers(0, 2**32 - 1),
+           st.data())
+    def test_random_code_acts_like_source(self, n, k, radius, seed, data):
+        rng = np.random.default_rng(seed)
+        code = StabilizedCode(n, k, radius, tuple(
+            rng.integers(0, n, n ** (2 * radius + 1)) for _ in range(k)))
+        recoded = _recode_code(code)
+
+        def blocks(x, length):
+            # the point over A^k whose z-th letter is the k-block of x at zk
+            return PeriodicPoint(tuple(power_alphabet_index(n, k, x.window(i, i + k - 1))
+                                       for i in range(0, length, k)))
+
+        for _ in range(3):
+            length = k * data.draw(st.integers(1, 3))
+            block = data.draw(st.lists(st.integers(0, n - 1), min_size=length, max_size=length))
+            x = PeriodicPoint(tuple(block), data.draw(st.integers(0, length - 1)))
+            y = apply_to_periodic(code, x)
+            assert apply_to_periodic(recoded, blocks(x, length)) == blocks(y, length)
 
     def test_homomorphism_on_samples(self):
         pool = [flip(2), shift_power(2, 1), flip_on_even(2), shift_power(2, -1)]

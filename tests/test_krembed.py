@@ -29,7 +29,7 @@ from stabaut.krembed import (
     read_at,
 )
 from stabaut.permlab import Permutation
-from stabaut.shifts import PeriodicPoint, SftMatrix, lcm
+from stabaut.shifts import PeriodicPoint, SftMatrix, language_words, lcm
 
 SCHEME = find_marker_scheme(5, 2, 2)
 NON_DATA = 4
@@ -87,6 +87,51 @@ class TestFindMarkerScheme:
                            (1, 0, 0, 0, 0)))
         with pytest.raises(FeasibilityUnverified):
             find_marker_scheme(cycle, 2, 1)
+
+    @pytest.mark.parametrize("entries, gap, feasible", [
+        # edges 0..3 carry data and edge 4 is the only marker.  The loop
+        # 1 -> 1: a data letter needs a free position on each side, and no
+        # data edge runs 1 -> 1.  The edge 1 -> 2 into a sink: nothing can
+        # follow the marker that opens a stretch.
+        (((2, 1), (1, 1)), 2, True),
+        (((2, 1), (1, 1)), 1, False),
+        (((1, 1, 0), (1, 1, 1), (0, 0, 0)), 2, False),
+    ], ids=["loop-marker-gap2", "loop-marker-gap1", "marker-into-sink"])
+    def test_feasibility_matches_brute_force(self, entries, gap, feasible):
+        sft = SftMatrix(entries)
+        assert brute_force_feasible(sft, gap) is feasible
+        assert scheme_found(sft, gap) is feasible
+
+    def test_feasibility_matches_brute_force_on_random_sfts(self):
+        rng = random.Random(3)
+        verdicts = []
+        while len(verdicts) < 40:
+            dim = rng.randint(1, 3)
+            sft = SftMatrix(tuple(tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(dim)))
+            if 5 <= sft.edge_count <= 7:
+                gap = rng.randint(1, 2)
+                verdicts.append(brute_force_feasible(sft, gap))
+                assert scheme_found(sft, gap) is verdicts[-1]
+        assert set(verdicts) == {True, False}
+
+
+def brute_force_feasible(sft, gap):
+    """Oracle: every data word d_1 .. d_L (L = 1, 2) over the 4 data edges
+    0..3 sits at every gap-th position of an admissible word that has
+    non-data edges at both ends."""
+    return all(
+        any(w[0] >= 4 and w[-1] >= 4 and all(w[(i + 1) * gap] == d for i, d in enumerate(seq))
+            for w in language_words(sft, (length + 1) * gap + 1))
+        for length in (1, 2)
+        for seq in itertools.product(range(4), repeat=length))
+
+
+def scheme_found(sft, gap):
+    try:
+        find_marker_scheme(sft, 2, gap)
+    except FeasibilityUnverified:
+        return False
+    return True
 
 
 class TestCodedStretches:
