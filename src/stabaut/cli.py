@@ -192,6 +192,8 @@ def _parse_cycles(text: str, degree: int) -> Permutation:
     def flush_token():
         nonlocal token
         if token:
+            if int(token) < 1:
+                raise ValueError(f"point {token} in cycle notation must be at least 1")
             current.append(int(token) - 1)
             token = ""
 

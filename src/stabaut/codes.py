@@ -22,6 +22,11 @@ kernel reads a code's outputs through one more,
 the index, in the same convention, of the outputs at positions first,
 first+1, ... given the input window index at each of them.
 
+Kernels that visit every window walk them in WINDOW_CHUNK pieces
+(index_chunks): the allocator keeps the pages of 512 KiB int64
+temporaries, where 4 MiB ones were faulted in again on every chunk, and
+peak RSS stays bounded at any radius.
+
 Tables are dense numpy arrays, so every comparison below is an exact,
 exhaustive check over all windows.  Size guards keep that honest:
 operations refuse to build tables they cannot enumerate.
@@ -29,7 +34,6 @@ operations refuse to build tables they cannot enumerate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -104,7 +108,7 @@ def read_outputs(code: StabilizedCode, windows, first: int) -> np.ndarray:
     return out
 
 
-WINDOW_CHUNK = 1 << 19
+WINDOW_CHUNK = 2**16
 
 
 def index_chunks(total: int, chunk: int = WINDOW_CHUNK):
@@ -124,11 +128,11 @@ _PROBE_STEPS = np.arange(1, 9, dtype=np.int64) * 2654435761
 
 def _agrees(table: np.ndarray, want) -> bool:
     """table[idx] == want(idx) at a few probe windows, then at every window
-    (in small chunks: the pass runs while the caller's tables are alive)."""
+    (in chunks: the pass runs while the caller's tables are alive)."""
     probes = _PROBE_STEPS % table.size
     return np.array_equal(table[probes], want(probes)) and all(
         np.array_equal(table[start: start + idx.size], want(idx))
-        for start, idx in index_chunks(table.size, 1 << 16))
+        for start, idx in index_chunks(table.size))
 
 
 def _derive_shift(n: int, radius: int, tables) -> int | None:
@@ -545,8 +549,11 @@ def _bijective_on_periodics(n: int, r: int, k: int) -> list[tuple[int, ...]]:
 
     A cheap exact prefilter: an invertible code permutes the points of
     each period, so any candidate failing to permute P_L is discarded
-    before the inverse search.  Candidates are returned in ascending
-    canonical order.
+    before the inverse search.  `rest` sums the images of classes 1..k-1
+    for every tuple of their tables in C order; the class-0 tables are
+    added to it in batches of at most WINDOW_CHUNK entries, each row
+    sorted and compared with the identity.  Candidates are returned in
+    ascending canonical order.
     """
     w = window_count(n, r)
     per_table = n**w
@@ -565,13 +572,14 @@ def _bijective_on_periodics(n: int, r: int, k: int) -> list[tuple[int, ...]]:
         rotated = (idx % n ** (length - a)) * n**a + idx // n ** (length - a)
         win = subwindow(rotated, n, length, 0, 2 * r + 1)
         partial[z % k] += subwindow(tidx, n, w, win[None, :], 1) * n ** (length - 1 - z)
-    target = np.sort(idx)
+    rest = np.zeros((1, idx.size), dtype=np.int64)
+    for part in partial[1:]:
+        rest = (rest[:, None, :] + part[None, :, :]).reshape(-1, idx.size)
+    batch = max(1, WINDOW_CHUNK // rest.size)
     survivors = []
-    for combo in itertools.product(range(per_table), repeat=k):
-        image = partial[0][combo[0]].copy()
-        for c in range(1, k):
-            image += partial[c][combo[c]]
-        image.sort()
-        if np.array_equal(image, target):
-            survivors.append(combo)
+    for lo in range(0, per_table, batch):
+        image = partial[0][lo: lo + batch, None, :] + rest[None, :, :]
+        image.sort(axis=-1)
+        for first, other in np.argwhere((image == idx).all(axis=-1)):
+            survivors.append((lo + int(first),) + index_to_block(per_table, k - 1, int(other)))
     return survivors

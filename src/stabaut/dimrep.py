@@ -116,9 +116,7 @@ def ray_image_count(aut: Automorphism, tail_letter: int = 0) -> RayCount:
             tail = tail_letter * (q**t - 1) // (q - 1) * q ** (2 * r + 1 - t)
             yield tail + subwindow(idx, q, free, out_pos - r - 1 + t, 2 * r + 1 - t)
 
-    # at 2^16-index chunks the allocator reuses the temporaries; 2^19 made
-    # a count of shift_power(12, 2) fault ~10^4 pages and run ~20 % longer
-    for _, idx in index_chunks(q**free, 1 << 16):
+    for _, idx in index_chunks(q**free):
         seen[read_outputs(code, windows(idx), -r + 1)] = True
     return RayCount(m, int(np.count_nonzero(seen)))
 

@@ -245,7 +245,9 @@ def embed_code(code: StabilizedCode, scheme: MarkerScheme) -> StabilizedCode:
 
     evaluated by walking the stretch at most r steps each way, so radius
     r*R suffices (the walk moves R letters per step and membership
-    probes stay one step ahead of the values read).  The conjugated
+    probes stay one step ahead of the values read).  Each source window
+    index is a sum over the 2r+1 slots read of look[case*q + letter], one
+    lookup per walk and slot built before the windows are walked.  The conjugated
     lower-row action is the same window lookup with the position class
     advanced by one; it keeps the embedding multiplicative (see the
     module docstring) and is invisible for period-1 sources.
@@ -261,16 +263,16 @@ def embed_code(code: StabilizedCode, scheme: MarkerScheme) -> StabilizedCode:
     total = q**width
     is_data = np.zeros(q, dtype=bool)
     is_data[: n**2] = True
-    weights = _walk_weights(n, r)
+    hi, lo = np.divmod(np.arange(q, dtype=np.int64) % n**2, n)
+    lookups = [[(w[:, 2 * m, None] * hi + w[:, 2 * m + 1, None] * lo).ravel()
+                for m in range(2 * r + 1)] for w in _walk_weights(n, r)]
     tables = [np.empty(total, dtype=_table_dtype(q)) for _ in range(period)]
     for start, idx in index_chunks(total):
         # the walk reads and probes only the letters at slots W + m*R
         slots = [subwindow(idx, q, width, W + m * R, 1) for m in range(-r, r + 1)]
         data = [is_data[a] for a in slots]
-        case = _stretch_case(data, r)
-        parts = [part for a in slots for part in (a // n % n, a % n)]
-        win_u, win_l = (sum(part * col[case] for part, col in zip(parts, w.T) if col.any())
-                        for w in weights)
+        case = _stretch_case(data, r) * q
+        win_u, win_l = (sum(look[case + a] for look, a in zip(walk, slots)) for walk in lookups)
         centre = slots[r]
         for c in range(period):
             j0 = c // R

@@ -153,11 +153,15 @@ def _mobius(n: int) -> int:
 def count_least_period_orbits(n: int, p: int) -> int:
     """Number of shift orbits of least period exactly p in the full n-shift.
 
-    Moebius inversion of n^p = sum_{d|p} d * (orbit count at d).
+    Moebius inversion of n^p = sum_{d|p} d * (orbit count at d), summed
+    over the 2^omega(p) squarefree e | p, the only ones with mu(e) != 0.
     """
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
-    total = sum(_mobius(p // d) * n**d for d in range(1, p + 1) if p % d == 0)
+    terms = [(1, 1)]  # (squarefree divisor e of p, mu(e))
+    for prime in prime_exponents(p)[0] if p > 1 else ():
+        terms += [(e * prime, -mu) for e, mu in terms]
+    total = sum(mu * n ** (p // e) for e, mu in terms)
     assert total % p == 0
     return total // p
 

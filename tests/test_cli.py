@@ -110,6 +110,12 @@ class TestCommands:
         assert run(["--json", "orbits", "2", "14000"]) == 0
         assert json.loads(capsys.readouterr().out)["orbits"] == count_least_period_orbits(2, 14000)
 
+    def test_orbits_of_a_huge_period_over_one_letter(self, capsys):
+        start = time.perf_counter()
+        assert run(["--json", "orbits", "1", "1000000000"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().out)["orbits"] == 0
+
     def test_dimrep_flip(self, capsys, flip_file):
         assert run(["dimrep", flip_file]) == 0
         out = capsys.readouterr().out
@@ -250,9 +256,11 @@ class TestExitCodes:
         (["orbits", "10", "1000000000"], "more than the 4300 digits"),
         (["orbits", "2", "15000"], "more than the 4300 digits"),
         (["perm", "pcycle", "--side", "1", "(1)"], "grid side 1 must be at least 2"),
+        (["perm", "order", "(0)"], "point 0 in cycle notation must be at least 1"),
+        (["perm", "order", "(0 3)", "--degree", "5"], "point 0 in cycle notation must be at least 1"),
     ], ids=["commutator-alphabet", "commutator-letter", "perm-degree", "perm-point",
             "census-radius", "census-period", "census-size", "orbits-huge", "orbits-unprintable",
-            "pcycle-side"])
+            "pcycle-side", "perm-point-zero", "perm-point-zero-with-degree"])
     def test_oversized_or_bad_argument_refused(self, capsys, argv, message):
         start = time.perf_counter()
         assert run(argv) == 1

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stabaut.codes
 from stabaut.codes import (
+    WINDOW_CHUNK,
     Automorphism,
     BudgetExceeded,
     CodeSizeExceeded,
     StabilizedCode,
+    _bijective_on_periodics,
     _power_exceeds,
     apply_to_periodic,
     aut_compose,
@@ -22,6 +25,7 @@ from stabaut.codes import (
     enumerate_automorphisms,
     equals,
     find_inverse,
+    index_chunks,
     read_outputs,
     subwindow,
     verify_inverse_pair,
@@ -137,6 +141,41 @@ class TestKernelsAgainstOracle:
         for _ in range(3):
             x = data.draw(periodic_points(code.n))
             assert apply_to_periodic(refined, x) == apply_to_periodic(code, x)
+
+
+class TestChunkBoundary:
+    """Kernels whose result has radius 3 over 5 letters: 5^7 = 78125
+    windows, so the dense walk crosses a WINDOW_CHUNK boundary."""
+
+    POINTS = [PeriodicPoint(tuple(random.Random(length).choices(range(5), k=length)), phase)
+              for length in (5, 6, 7, 8) for phase in (0, 2)]
+
+    @staticmethod
+    def random_code(seed, period, radius):
+        rng = np.random.default_rng(seed)
+        return StabilizedCode(5, period, radius, tuple(
+            rng.integers(0, 5, 5 ** (2 * radius + 1)) for _ in range(period)))
+
+    def test_compose(self):
+        f, g = self.random_code(1, 2, 2), self.random_code(2, 1, 1)
+        fg = compose(f, g)
+        assert fg.tables[0].size > WINDOW_CHUNK
+        for x in self.POINTS:
+            assert apply_to_periodic(fg, x) == apply_to_periodic(f, apply_to_periodic(g, x))
+
+    def test_refine(self):
+        code = self.random_code(3, 2, 1)
+        refined = code.refine(2, 3)
+        assert refined.tables[0].size > WINDOW_CHUNK
+        for x in self.POINTS:
+            assert apply_to_periodic(refined, x) == apply_to_periodic(code, x)
+
+    @pytest.mark.parametrize("total", [0, WINDOW_CHUNK - 1, WINDOW_CHUNK, WINDOW_CHUNK + 1])
+    def test_index_chunks_cover_the_range_in_order(self, total):
+        pieces = list(index_chunks(total))
+        assert all(0 < idx.size <= WINDOW_CHUNK and idx[0] == start for start, idx in pieces)
+        joined = np.concatenate([idx for _, idx in pieces]) if pieces else np.arange(0)
+        assert np.array_equal(joined, np.arange(total))
 
 
 @st.composite
@@ -506,6 +545,43 @@ class TestEnumerate:
             actions.append(tuple(apply_to_periodic(a.forward, x) for x in pts))
         for i, j in itertools.combinations(range(len(auts)), 2):
             assert actions[i] != actions[j] or equals(auts[i].forward, auts[j].forward)
+
+
+def permuting_tuples(n, r, k):
+    """Oracle for the census prefilter: the table tuples, in ascending
+    order, whose code permutes every periodic point of the prefilter's
+    length, each image computed by apply_to_periodic."""
+    w = n ** (2 * r + 1)
+    length = k
+    while length < max(2 * r + 1, 4):
+        length += k
+    points = [PeriodicPoint(b) for b in itertools.product(range(n), repeat=length)]
+    blocks = sorted(x.block for x in points)
+    out = []
+    for combo in itertools.product(range(n**w), repeat=k):
+        code = StabilizedCode(n, k, r, tuple(
+            np.array(index_to_block(n, w, t)) for t in combo))
+        if sorted(apply_to_periodic(code, x).block for x in points) == blocks:
+            out.append(combo)
+    return out
+
+
+class TestCensusPrefilter:
+    @pytest.mark.parametrize("shape", [(2, 0, 2), (3, 0, 2), (2, 1, 1), (2, 0, 3)])
+    def test_matches_scalar_oracle(self, shape):
+        got = _bijective_on_periodics(*shape)
+        assert got == permuting_tuples(*shape)
+        assert got == sorted(got)
+
+    def test_two_letter_radius_one_period_two(self):
+        assert len(_bijective_on_periodics(2, 1, 2)) == 160
+
+    @pytest.mark.parametrize("shape", [(2, 0, 3), (3, 0, 2)])
+    @pytest.mark.parametrize("chunk", [1, 150, 500])
+    def test_rest_larger_than_one_batch(self, monkeypatch, shape, chunk):
+        want = _bijective_on_periodics(*shape)
+        monkeypatch.setattr(stabaut.codes, "WINDOW_CHUNK", chunk)
+        assert _bijective_on_periodics(*shape) == want
 
 
 class TestGroupAxioms:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabaut.codes import (
+    WINDOW_CHUNK,
     StabilizedCode,
     apply_to_periodic,
     aut_compose,
@@ -270,6 +271,19 @@ class TestEmbedCode:
             block = data.draw(st.lists(st.integers(0, q - 1), min_size=length, max_size=length))
             x = PeriodicPoint(tuple(block), data.draw(st.integers(0, length - 1)))
             assert apply_to_periodic(e, x) == embed_oracle(code, scheme, x)
+
+    def test_across_a_window_chunk_boundary(self):
+        # radius 3 over 5 letters: 5^7 = 78125 windows, more than one chunk
+        rng = np.random.default_rng(4)
+        code = StabilizedCode(2, 2, 1, tuple(rng.integers(0, 2, 8) for _ in range(2)))
+        scheme = find_marker_scheme(5, 2, 3)
+        e = embed_code(code, scheme)
+        assert e.tables[0].size > WINDOW_CHUNK
+        letters = random.Random(5)
+        for length in (3, 6, 7, 9, 12):
+            for _ in range(3):
+                x = PeriodicPoint(tuple(letters.choices(range(5), k=length)))
+                assert apply_to_periodic(e, x) == embed_oracle(code, scheme, x)
 
     def test_data_pattern_preserved(self):
         e = embed_code(shift_power(2, 1).forward, SCHEME)

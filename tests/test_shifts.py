@@ -116,6 +116,17 @@ class TestOrbitCounts:
                     orbits.add(frozenset(x.shifted(j).canonical() for j in range(p)))
                 assert count_least_period_orbits(n, p) == len(orbits)
 
+    @given(st.integers(1, 4), st.integers(1, 60))
+    def test_matches_the_sum_over_every_divisor(self, n, p):
+        want = sum(_mobius(p // d) * n**d for d in range(1, p + 1) if p % d == 0) // p
+        assert count_least_period_orbits(n, p) == want
+
+    def test_huge_period_over_one_letter(self):
+        start = time.perf_counter()
+        assert count_least_period_orbits(1, 10**9) == 0
+        assert count_least_period_orbits(1, 1) == 1
+        assert time.perf_counter() - start < 1.0
+
     @given(st.integers(2, 4), st.integers(1, 8))
     def test_moebius_sum_identity(self, n, p):
         total = sum(
