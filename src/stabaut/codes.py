@@ -111,14 +111,14 @@ def read_outputs(code: StabilizedCode, windows, first: int) -> np.ndarray:
 WINDOW_CHUNK = 2**16
 
 
-def index_chunks(total: int, chunk: int = WINDOW_CHUNK):
+def index_chunks(total: int):
     """Yield (start, indices start .. start+len-1) covering range(total).
 
-    Kernels that enumerate every window work one piece at a time, so
-    peak memory stays bounded for large radii.
+    Kernels that enumerate every window work one WINDOW_CHUNK piece at a
+    time, so peak memory stays bounded for large radii.
     """
-    for start in range(0, total, chunk):
-        yield start, np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, WINDOW_CHUNK):
+        yield start, np.arange(start, min(start + WINDOW_CHUNK, total), dtype=np.int64)
 
 
 # window indices probed before an exact pass, so that a table without
@@ -549,11 +549,12 @@ def _bijective_on_periodics(n: int, r: int, k: int) -> list[tuple[int, ...]]:
 
     A cheap exact prefilter: an invertible code permutes the points of
     each period, so any candidate failing to permute P_L is discarded
-    before the inverse search.  `rest` sums the images of classes 1..k-1
-    for every tuple of their tables in C order; the class-0 tables are
-    added to it in batches of at most WINDOW_CHUNK entries, each row
-    sorted and compared with the identity.  Candidates are returned in
-    ascending canonical order.
+    before the inverse search.  The tuples are walked by their index
+    (C order, so candidates come out in ascending canonical order) in
+    batches of WINDOW_CHUNK // n^L tuples, at least one: a batch sums the
+    rows of `partial` its tuples pick, sorts each row and keeps the rows
+    equal to the identity, so it holds at most max(WINDOW_CHUNK, n^L)
+    entries whatever the shape.
     """
     w = window_count(n, r)
     per_table = n**w
@@ -572,14 +573,12 @@ def _bijective_on_periodics(n: int, r: int, k: int) -> list[tuple[int, ...]]:
         rotated = (idx % n ** (length - a)) * n**a + idx // n ** (length - a)
         win = subwindow(rotated, n, length, 0, 2 * r + 1)
         partial[z % k] += subwindow(tidx, n, w, win[None, :], 1) * n ** (length - 1 - z)
-    rest = np.zeros((1, idx.size), dtype=np.int64)
-    for part in partial[1:]:
-        rest = (rest[:, None, :] + part[None, :, :]).reshape(-1, idx.size)
-    batch = max(1, WINDOW_CHUNK // rest.size)
+    total = per_table**k
+    batch = max(1, WINDOW_CHUNK // idx.size)
     survivors = []
-    for lo in range(0, per_table, batch):
-        image = partial[0][lo: lo + batch, None, :] + rest[None, :, :]
+    for lo in range(0, total, batch):
+        combos = np.arange(lo, min(lo + batch, total), dtype=np.int64)
+        image = sum(part[subwindow(combos, per_table, k, c, 1)] for c, part in enumerate(partial))
         image.sort(axis=-1)
-        for first, other in np.argwhere((image == idx).all(axis=-1)):
-            survivors.append((lo + int(first),) + index_to_block(per_table, k - 1, int(other)))
+        survivors += [index_to_block(per_table, k, int(t)) for t in combos[(image == idx).all(axis=-1)]]
     return survivors

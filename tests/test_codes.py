@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -576,12 +577,27 @@ class TestCensusPrefilter:
     def test_two_letter_radius_one_period_two(self):
         assert len(_bijective_on_periodics(2, 1, 2)) == 160
 
-    @pytest.mark.parametrize("shape", [(2, 0, 3), (3, 0, 2)])
-    @pytest.mark.parametrize("chunk", [1, 150, 500])
-    def test_rest_larger_than_one_batch(self, monkeypatch, shape, chunk):
+    # a batch is WINDOW_CHUNK // n^L tuples: (2,0,3) has 64 tuples of 64
+    # entries, (3,0,2) has 9 of 81
+    @pytest.mark.parametrize("shape, chunk", [
+        ((2, 0, 3), 1),  # one tuple a batch
+        ((3, 0, 2), 162),  # two a batch, the last batch partial
+        ((2, 0, 3), 1024),  # four full batches of 16
+    ])
+    def test_batch_edges(self, monkeypatch, shape, chunk):
         want = _bijective_on_periodics(*shape)
         monkeypatch.setattr(stabaut.codes, "WINDOW_CHUNK", chunk)
         assert _bijective_on_periodics(*shape) == want
+
+    def test_batch_memory_is_bounded(self):
+        # 4^7 tuples of 2^7 entries: 16 MiB of images if summed at once
+        tracemalloc.start()
+        try:
+            _bijective_on_periodics(2, 0, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * WINDOW_CHUNK * 8
 
 
 class TestGroupAxioms:
