@@ -4,6 +4,11 @@ Files are canonical JSON: sorted keys, compact separators, integers
 only, one trailing newline.  Saving the same object twice produces
 identical bytes.  Exit codes: 0 success, 1 usage or input error, 2 a
 verification that should have succeeded failed.
+
+Only `permlab`, `invariants` and `shifts` load with this module: the
+`invariants`, `orbits` and `perm` commands never touch numpy.  The table
+modules (`codes`, `dimrep`, `generators`, `krembed`) and numpy are
+imported inside the functions that use them.
 """
 
 from __future__ import annotations
@@ -12,25 +17,9 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .codes import (
-    Automorphism,
-    CodeSizeExceeded,
-    StabilizedCode,
-    _check_size,
-    _power_exceeds,
-    code_power,
-    enumerate_automorphisms,
-    equals,
-    find_inverse,
-    verify_inverse_pair,
-)
-from .dimrep import dimension_multiplier
-from .generators import mth_root_of, swap_commutator_witness
 from .invariants import distinguish_classical, distinguish_stabilized, omega, roots_set
-from .krembed import MarkerScheme, embed_automorphism, find_marker_scheme
 from .permlab import (
     MAX_GROUP_DEGREE,
     DegreeBudgetExceeded,
@@ -41,7 +30,11 @@ from .permlab import (
     jordan_verdict,
     p_cycle_search,
 )
-from .shifts import count_least_period_orbits
+from .shifts import _power_exceeds, count_least_period_orbits
+
+if TYPE_CHECKING:
+    from .codes import Automorphism, StabilizedCode
+    from .krembed import MarkerScheme
 
 AUTOMORPHISM_FORMAT = "stabaut-automorphism"
 SCHEME_FORMAT = "stabaut-marker-scheme"
@@ -66,16 +59,20 @@ def automorphism_to_dict(aut: Automorphism) -> dict:
         "n": aut.n,
         "period": aut.forward.period,
         "radius": aut.forward.radius,
-        "tables": [[int(v) for v in t] for t in aut.forward.tables],
+        "tables": [t.tolist() for t in aut.forward.tables],
         "inverse": {
             "period": aut.inverse.period,
             "radius": aut.inverse.radius,
-            "tables": [[int(v) for v in t] for t in aut.inverse.tables],
+            "tables": [t.tolist() for t in aut.inverse.tables],
         },
     }
 
 
 def _code_from_fields(n: int, period: int, radius: int, tables, where: str) -> StabilizedCode:
+    import numpy as np
+
+    from .codes import CodeSizeExceeded, StabilizedCode, _check_size
+
     if any(type(v) is not int for v in (n, period, radius)) or n < 1 or period < 1 or radius < 0:
         raise FileFormatError(f"{where}: bad n/period/radius")
     try:
@@ -99,6 +96,8 @@ def _code_from_fields(n: int, period: int, radius: int, tables, where: str) -> S
 
 
 def automorphism_from_dict(data: dict) -> Automorphism:
+    from .codes import Automorphism, find_inverse, verify_inverse_pair
+
     if type(data) is not dict or data.get("format") != AUTOMORPHISM_FORMAT:
         raise FileFormatError("not an automorphism file")
     if data.get("version") != FORMAT_VERSION:
@@ -153,6 +152,8 @@ def scheme_to_dict(scheme: MarkerScheme) -> dict:
 
 
 def scheme_from_dict(data: dict) -> MarkerScheme:
+    from .krembed import MarkerScheme
+
     if type(data) is not dict or data.get("format") != SCHEME_FORMAT:
         raise FileFormatError("not a marker scheme file")
     if any(type(data.get(key)) is not int for key in ("target_q", "n", "gap")):
@@ -188,13 +189,18 @@ def _parse_cycles(text: str, degree: int) -> Permutation:
     cycles = []
     current: list[int] | None = None
     token = ""
+    seen: set[int] = set()
 
     def flush_token():
         nonlocal token
         if token:
-            if int(token) < 1:
+            point = int(token)
+            if point < 1:
                 raise ValueError(f"point {token} in cycle notation must be at least 1")
-            current.append(int(token) - 1)
+            if point in seen:
+                raise ValueError(f"point {point} appears twice in cycle notation")
+            seen.add(point)
+            current.append(point - 1)
             token = ""
 
     for ch in text:
@@ -262,6 +268,8 @@ def _cmd_orbits(args) -> tuple[int, dict]:
 
 
 def _cmd_dimrep(args) -> tuple[int, dict]:
+    from .dimrep import dimension_multiplier
+
     aut = load_automorphism(args.file)
     vec = dimension_multiplier(aut)
     return 0, {
@@ -275,6 +283,9 @@ def _cmd_dimrep(args) -> tuple[int, dict]:
 
 
 def _cmd_verify_commutator(args) -> tuple[int, dict]:
+    from .codes import _check_size
+    from .generators import swap_commutator_witness
+
     if args.a == args.b or not (0 <= args.a < args.n and 0 <= args.b < args.n):
         raise ValueError("need two distinct letters in 0 .. n-1")
     _check_size(args.n, 1, 2)  # phi0, the 2-block code, before tau lists n images
@@ -291,6 +302,9 @@ def _cmd_verify_commutator(args) -> tuple[int, dict]:
 
 
 def _cmd_root(args) -> tuple[int, dict]:
+    from .codes import code_power, equals
+    from .generators import mth_root_of
+
     aut = load_automorphism(args.file)
     root = mth_root_of(aut, args.m)
     verified = equals(code_power(root.forward, args.m), aut.forward)
@@ -309,6 +323,8 @@ def _cmd_root(args) -> tuple[int, dict]:
 
 
 def _cmd_embed(args) -> tuple[int, dict]:
+    from .krembed import embed_automorphism, find_marker_scheme
+
     aut = load_automorphism(args.file)
     scheme = find_marker_scheme(args.target, aut.n, args.gap)
     emb = embed_automorphism(aut, scheme)
@@ -330,6 +346,8 @@ def _cmd_embed(args) -> tuple[int, dict]:
 
 
 def _cmd_enumerate(args) -> tuple[int, dict]:
+    from .codes import enumerate_automorphisms
+
     budget = int(os.environ.get(SEARCH_BUDGET_ENV, "200000"))
     auts = enumerate_automorphisms(args.n, args.r, args.k, budget=budget)
     return 0, {
@@ -337,7 +355,7 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
         "r": args.r,
         "k": args.k,
         "count": len(auts),
-        "tables": [[[int(v) for v in t] for t in a.forward.tables] for a in auts],
+        "tables": [[t.tolist() for t in a.forward.tables] for a in auts],
         "criterion": "exhaustive-census",
     }
 

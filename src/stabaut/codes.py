@@ -41,6 +41,7 @@ import numpy as np
 from .shifts import (
     PeriodicPoint,
     SftMatrix,
+    _power_exceeds,
     index_to_block,
     language_words,
     lcm,
@@ -67,13 +68,6 @@ def _table_dtype(n: int):
 
 def window_count(n: int, radius: int) -> int:
     return n ** (2 * radius + 1)
-
-
-def _power_exceeds(n: int, e: int, budget: int, factor: int = 1) -> bool:
-    """Whether factor * n^e > budget (factor >= 1).  Since n^e >= 2^e for
-    n > 1, an exponent whose 2^e alone passes the budget is decided by bit
-    length, before the power is computed."""
-    return n > 1 and e > budget.bit_length() or factor * n**e > budget
 
 
 def _check_size(n: int, radius: int, period: int) -> None:

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import Automorphism, _power_exceeds, index_chunks, read_outputs, subwindow
-from .shifts import prime_factors
+from .codes import Automorphism, index_chunks, read_outputs, subwindow
+from .shifts import _power_exceeds, prime_factors
 
 
 class MultiplierNotSupported(ValueError):

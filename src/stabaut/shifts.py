@@ -142,6 +142,13 @@ def count_periodic(sft: SftMatrix, k: int) -> int:
     return matrix_power_trace(sft, k)
 
 
+def _power_exceeds(n: int, e: int, budget: int, factor: int = 1) -> bool:
+    """Whether factor * n^e > budget (factor >= 1).  Since n^e >= 2^e for
+    n > 1, an exponent whose 2^e alone passes the budget is decided by bit
+    length, before the power is computed."""
+    return n > 1 and e > budget.bit_length() or factor * n**e > budget
+
+
 @lru_cache(maxsize=None)
 def _mobius(n: int) -> int:
     if n == 1:

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -16,7 +17,7 @@ from stabaut.cli import (
     scheme_from_dict,
     scheme_to_dict,
 )
-from stabaut.codes import aut_equals, equals
+from stabaut.codes import aut_compose, aut_equals, equals
 from stabaut.dimrep import dimension_multiplier
 from stabaut.generators import flip, flip_on_even, shift_power, symbol_permutation
 from stabaut.permlab import Permutation
@@ -84,6 +85,18 @@ class TestFileFormat:
         save_scheme(scheme, str(path))
         loaded = load_scheme(str(path))
         assert loaded == scheme
+
+    def test_saved_tables_match_the_per_entry_form(self, tmp_path):
+        rng = random.Random(5)
+        letters = Permutation(tuple(rng.sample(range(25), 25)))
+        aut = aut_compose(symbol_permutation(5, 2, letters), shift_power(5, 1))
+        assert aut.forward.period == 2
+        data = automorphism_to_dict(aut)
+        data["tables"] = [[int(v) for v in t] for t in aut.forward.tables]
+        data["inverse"]["tables"] = [[int(v) for v in t] for t in aut.inverse.tables]
+        path = tmp_path / "random2.json"
+        save_automorphism(aut, str(path))
+        assert path.read_bytes() == canonical_json(data).encode()
 
     def test_canonical_json_sorted(self):
         text = canonical_json({"b": 1, "a": 2})
@@ -258,9 +271,13 @@ class TestExitCodes:
         (["perm", "pcycle", "--side", "1", "(1)"], "grid side 1 must be at least 2"),
         (["perm", "order", "(0)"], "point 0 in cycle notation must be at least 1"),
         (["perm", "order", "(0 3)", "--degree", "5"], "point 0 in cycle notation must be at least 1"),
+        (["perm", "order", "(1 1)"], "point 1 appears twice in cycle notation"),
+        (["perm", "order", "(1)(1 2)"], "point 1 appears twice in cycle notation"),
+        (["perm", "order", "(1 2 1)"], "point 1 appears twice in cycle notation"),
     ], ids=["commutator-alphabet", "commutator-letter", "perm-degree", "perm-point",
             "census-radius", "census-period", "census-size", "orbits-huge", "orbits-unprintable",
-            "pcycle-side", "perm-point-zero", "perm-point-zero-with-degree"])
+            "pcycle-side", "perm-point-zero", "perm-point-zero-with-degree",
+            "perm-point-repeated", "perm-point-in-two-cycles", "perm-cycle-revisits"])
     def test_oversized_or_bad_argument_refused(self, capsys, argv, message):
         start = time.perf_counter()
         assert run(argv) == 1

@@ -1,0 +1,75 @@
+"""The package's lazy re-exports, and the CLI commands that need no numpy."""
+
+import importlib
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import stabaut
+
+SRC = pathlib.Path(stabaut.__file__).resolve().parents[1]
+
+# every name `stabaut` re-exports, by the module that defines it
+EXPORTS = {
+    "codes": "Automorphism StabilizedCode apply_to_periodic aut_commutator aut_compose aut_equals "
+             "commutes_with_shift_power compose enumerate_automorphisms equals verify_inverse_pair",
+    "dimrep": "ExponentVector RayCount dimension_multiplier is_inert ray_image_count "
+              "stabilized_dim_group",
+    "generators": "SimpleGraphPerm flip flip_on_even inflate letter_permutation mth_root_of "
+                  "periodic_letter_permutation recode_to_power shift_power "
+                  "swap_commutator_witness symbol_permutation",
+    "invariants": "Verdict distinguish_classical distinguish_stabilized omega roots_set "
+                  "sl2_z4_report",
+    "krembed": "MarkerScheme WindowConfig coded_stretches embed_automorphism embed_code "
+               "find_marker_scheme read_at",
+    "permlab": "GroupHandle Permutation group_order is_primitive jordan_verdict p_cycle_search "
+               "star three_cycle_from_arrangement",
+    "shifts": "Alphabet PeriodicPoint SftMatrix count_least_period_orbits count_periodic "
+              "language_words power_alphabet_index",
+}
+NAMES = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("module, name", NAMES, ids=[name for _, name in NAMES])
+def test_reexport_is_the_submodule_object(module, name):
+    assert getattr(stabaut, name) is getattr(importlib.import_module(f"stabaut.{module}"), name)
+
+
+def test_dir_and_all_list_every_reexport():
+    names = {name for _, name in NAMES}
+    assert names <= set(dir(stabaut))
+    assert set(stabaut.__all__) == names
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        stabaut.no_such_name
+
+
+def test_bare_import_loads_no_submodule():
+    proc = run_python("import sys, stabaut\n"
+                      "print(sorted(m for m in sys.modules if m.startswith('stabaut.')))\n"
+                      "print(stabaut.dimrep.__name__)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\nstabaut.dimrep\n"
+
+
+def test_numpy_free_commands_load_no_numpy():
+    proc = run_python(
+        "import sys\n"
+        "from stabaut.cli import run\n"
+        "codes = [run(['orbits', '3', '3']), run(['invariants', '12', '18']),\n"
+        "         run(['perm', 'order', '(1 2 3)', '(1 2)'])]\n"
+        "print(codes, 'numpy' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
