@@ -36,7 +36,7 @@ _EXPORTS = {
         "p_cycle_search", "star", "three_cycle_from_arrangement",
     ),
     "shifts": (
-        "Alphabet", "PeriodicPoint", "SftMatrix", "count_least_period_orbits", "count_periodic",
+        "PeriodicPoint", "SftMatrix", "count_least_period_orbits", "count_periodic",
         "language_words", "power_alphabet_index",
     ),
 }

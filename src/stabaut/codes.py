@@ -41,6 +41,7 @@ import numpy as np
 from .shifts import (
     PeriodicPoint,
     SftMatrix,
+    VerificationFailed,
     _power_exceeds,
     index_to_block,
     language_words,
@@ -175,7 +176,9 @@ class StabilizedCode:
     constructor that made it: `shift_by` is j when the code is the j-th
     shift power, and `block_map` is the permutation of aligned
     `period`-blocks when the code acts blockwise.  compose() and equals()
-    take a structured shortcut on either.
+    take a structured shortcut on either.  The constructor is the one
+    validator of tables, from a file or from code: each must be an integer
+    array of n^(2r+1) letters in 0 .. n-1.
     """
 
     n: int
@@ -189,16 +192,20 @@ class StabilizedCode:
         if self.n < 1 or self.period < 1 or self.radius < 0:
             raise ValueError("bad code shape")
         if len(self.tables) != self.period:
-            raise ValueError("need one table per position class")
+            raise ValueError(f"expected {self.period} tables, found {len(self.tables)}")
         want = window_count(self.n, self.radius)
         fixed = []
-        for t in self.tables:
-            arr = np.asarray(t, dtype=_table_dtype(self.n))
+        for ti, t in enumerate(self.tables):
+            arr = np.asarray(t)
             if arr.shape != (want,):
-                raise ValueError(f"table must have exactly {want} entries")
-            if arr.size and (arr.min() < 0 or arr.max() >= self.n):
-                raise ValueError("table entry out of letter range")
-            arr = arr.copy()
+                raise ValueError(f"table {ti} has {arr.size} entries, expected {want}")
+            if arr.dtype.kind not in "iu":
+                raise ValueError(f"table {ti} has dtype {arr.dtype}, expected integers")
+            # the range is checked before the narrowing cast, which would wrap
+            if arr.min() < 0 or arr.max() >= self.n:
+                ei = int(np.flatnonzero((arr < 0) | (arr >= self.n))[0])
+                raise ValueError(f"table {ti} entry {ei} out of range: {arr[ei]}")
+            arr = arr.astype(_table_dtype(self.n))
             arr.flags.writeable = False
             fixed.append(arr)
         object.__setattr__(self, "tables", tuple(fixed))
@@ -417,7 +424,8 @@ class Automorphism:
     """A stabilized code together with a verified two-sided inverse.
 
     Verification composes the pair both ways and compares against the
-    identity over every window.  Callers may pass verify=False when the
+    identity over every window; a pair that fails raises
+    VerificationFailed.  Callers may pass verify=False when the
     pair was verified already (find_inverse returns only verified
     inverses) or when the identity holds by construction and the
     exhaustive check would not fit the table budget.
@@ -431,7 +439,7 @@ class Automorphism:
         if self.forward.n != self.inverse.n:
             raise ValueError("alphabet mismatch")
         if verify and not verify_inverse_pair(self.forward, self.inverse):
-            raise ValueError("inverse verification failed")
+            raise VerificationFailed("inverse verification failed")
 
     @property
     def n(self) -> int:

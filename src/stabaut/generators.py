@@ -24,7 +24,7 @@ from .codes import (
     subwindow,
 )
 from .permlab import Permutation
-from .shifts import SftMatrix, lcm
+from .shifts import SftMatrix, VerificationFailed, lcm
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,6 @@ class SimpleGraphPerm:
     def __post_init__(self):
         if self.perm.degree != self.n**self.m:
             raise ValueError("permutation degree must be n^m")
-
-    def is_even(self) -> bool:
-        return self.perm.parity() == 0
 
 
 def shift_power(n: int, j: int) -> Automorphism:
@@ -98,10 +95,7 @@ def edge_permutation_code(sft: SftMatrix, perm: Permutation) -> Automorphism:
     for e, (s, t) in enumerate(ends):
         if ends[perm(e)] != (s, t):
             raise ValueError("edge symmetry must preserve endpoints")
-    n = len(ends)
-    fwd = StabilizedCode(n, 1, 0, (np.array(perm.images),))
-    inv = StabilizedCode(n, 1, 0, (np.array(perm.inverse().images),))
-    return Automorphism(fwd, inv)
+    return periodic_letter_permutation(len(ends), [perm])
 
 
 def swap_commutator_witness(
@@ -144,7 +138,8 @@ def mth_root_of(phi0: Automorphism, m: int) -> Automorphism:
     phi0 must act blockwise on aligned k-blocks.  The root is the
     composition of "apply phi0's block map to the first of m sub-blocks"
     with the cyclic rotation of the m sub-blocks; its m-th power is
-    verified to equal phi0 exactly before returning.
+    verified to equal phi0 exactly before returning, and a failure raises
+    VerificationFailed.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -162,7 +157,7 @@ def mth_root_of(phi0: Automorphism, m: int) -> Automorphism:
     images = head + subwindow(idx, nk, m, 2, m - 2) * nk + subwindow(idx, nk, m, 0, 1)
     root = symbol_permutation(n, m * k, Permutation(tuple(images.tolist())))
     if not equals(code_power(root.forward, m), phi0.forward):
-        raise RuntimeError("root construction failed its defining identity")
+        raise VerificationFailed("root construction failed its defining identity")
     return root
 
 

@@ -179,14 +179,6 @@ class WindowConfig:
         return self.letters[j - self.offset]
 
 
-def _as_config(config):
-    if isinstance(config, (PeriodicPoint, WindowConfig)):
-        return config
-    if isinstance(config, tuple) and len(config) == 2:
-        return WindowConfig(tuple(config[0]), config[1])
-    raise TypeError("config must be a PeriodicPoint, WindowConfig, or (letters, offset)")
-
-
 def _in_stretch(config, scheme, j) -> bool:
     return scheme.is_data(config.letter(j))
 
@@ -213,7 +205,8 @@ def read_at(config, i: int, scheme: MarkerScheme, span: int) -> tuple[Word, Word
     component at the z-th iterate of the next map started at (u, i); the
     lower word starts at (l, i).  i must sit in a stretch.
     """
-    config = _as_config(config)
+    if not isinstance(config, (PeriodicPoint, WindowConfig)):
+        raise TypeError("config must be a PeriodicPoint or a WindowConfig")
     if not _in_stretch(config, scheme, i):
         raise ValueError(f"position {i} is not in any coded stretch")
 
@@ -227,11 +220,6 @@ def read_at(config, i: int, scheme: MarkerScheme, span: int) -> tuple[Word, Word
         return tuple(values)
 
     return walk("u"), walk("l")
-
-
-def embedded_radius(code: StabilizedCode, scheme: MarkerScheme) -> int:
-    """Letter radius of the embedded code: r walk steps of R letters each."""
-    return code.radius * scheme.gap
 
 
 def embed_code(code: StabilizedCode, scheme: MarkerScheme) -> StabilizedCode:

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .shifts import prime_factors
+from .shifts import VerificationFailed, prime_factors
 
 MAX_GROUP_DEGREE = 64
 
@@ -36,7 +36,7 @@ class ArrangementMismatch(ValueError):
     pass
 
 
-class RecipeFailed(RuntimeError):
+class RecipeFailed(VerificationFailed):
     pass
 
 
@@ -534,7 +534,7 @@ def goursat_decompose(
     for a, b in pairs:
         ra, rb = _coset_rep(a, n1), _coset_rep(b, n2)
         if ra in psi and psi[ra] != rb:
-            raise RuntimeError("ill-defined coset map")
+            raise VerificationFailed("ill-defined coset map")
         psi[ra] = rb
     return GoursatDecomposition(tuple(h1), tuple(h2), tuple(n1), tuple(n2), psi)
 

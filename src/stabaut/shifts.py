@@ -1,12 +1,16 @@
-"""Alphabets, SFT presentations, words, and periodic points.
+"""SFT presentations, words, periodic points, and exact arithmetic.
 
 Shifts of finite type are presented by square non-negative integer
 matrices; points of the edge shift are bi-infinite walks in the graph
 with entry (i, j) counting parallel edges from vertex i to vertex j.
-The full shift on n symbols is the 1x1 matrix (n).
+The full shift on n symbols is the 1x1 matrix (n).  Letters of the
+n-letter alphabet are 0 .. n-1.
 
 Words are plain tuples of letter indices.  Everything here is an
-immutable value and every function is pure.
+immutable value and every function is pure.  The module imports no
+numpy, so the names every other module shares live here: the budget
+predicate `_power_exceeds` and `VerificationFailed`, the one error a
+failed exact self-check raises.
 """
 
 from __future__ import annotations
@@ -19,25 +23,9 @@ from functools import lru_cache
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Finite alphabet; letters are 0 .. size-1."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("alphabet size must be >= 1")
-
-    def check_letter(self, a: int) -> None:
-        if not 0 <= a < self.size:
-            raise ValueError(f"letter {a} out of range for alphabet of size {self.size}")
-
-    def check_word(self, word) -> Word:
-        word = tuple(int(a) for a in word)
-        for a in word:
-            self.check_letter(a)
-        return word
+class VerificationFailed(ValueError):
+    """An exact check that should have held failed, such as a declared
+    inverse pair, a root's defining identity or a recipe's certificate."""
 
 
 @dataclass(frozen=True)
@@ -71,10 +59,6 @@ class SftMatrix:
     @property
     def edge_count(self) -> int:
         return sum(sum(row) for row in self.entries)
-
-    @property
-    def is_full_shift(self) -> bool:
-        return self.dim == 1
 
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """Canonical edge list: (source, target, multiplicity index)."""

@@ -307,6 +307,42 @@ class TestExitCodes:
             scheme_from_dict(data)
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda data: {**data, "version": 99},
+        lambda data: {**data, "pairing": [[0, 9, 9]]},
+        lambda data: {key: v for key, v in data.items() if key != "pairing"},
+        lambda data: {**data, "extra": 1},
+    ], ids=["wrong-version", "wrong-pairing", "missing-pairing", "extra-key"])
+    def test_scheme_record_must_be_canonical(self, edit):
+        data = edit(scheme_to_dict(find_marker_scheme(5, 2, 2)))
+        with pytest.raises(FileFormatError, match="canonical"):
+            scheme_from_dict(data)
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: {**data, "tables": [[0, 2**70]]},
+        lambda data: {**data, "tables": [[-(2**70), 1]]},
+        lambda data: {**data, "tables": [[0.5, 1]]},
+        lambda data: {**data, "tables": [[1, 0], [1, 0]]},
+    ], ids=["huge-entry", "huge-negative-entry", "float-entry", "extra-table"])
+    def test_malformed_table_is_file_error(self, tmp_path, capsys, edit):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(edit(automorphism_to_dict(flip(2)))))
+        assert run(["dimrep", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("file error: forward: ")
+
+    def test_failed_root_identity_is_exit_two(self, capsys, monkeypatch, flip_file):
+        monkeypatch.setattr("stabaut.generators.equals", lambda *args, **kwargs: False)
+        assert run(["root", flip_file, "2"]) == 2
+        assert capsys.readouterr().err.startswith("verification failed:")
+
+    def test_search_budget_is_not_read_from_the_environment(self, capsys, monkeypatch):
+        assert run(["enumerate", "2", "1", "1"]) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("STABAUT_SEARCH_BUDGET", "3")
+        assert run(["enumerate", "2", "1", "1"]) == 0
+        assert capsys.readouterr().out == plain
+
+
 class TestStructureAfterLoading:
     """A saved code gets its shift or block structure back on loading."""
 

@@ -280,6 +280,28 @@ class TestStructureChecked:
         assert time.perf_counter() - start < 1.0
 
 
+class TestTableValidation:
+    """The constructor validates every table before the narrowing cast."""
+
+    @pytest.mark.parametrize("table, message", [
+        (np.array([0.9, 1.2]), "table 0 has dtype float64"),
+        (np.array([0, 65537], dtype=np.int64), "table 0 entry 1 out of range: 65537"),
+        ([0, 70000], "table 0 entry 1 out of range: 70000"),
+        (np.array([False, True]), "table 0 has dtype bool"),
+    ], ids=["float", "int64-wrapping-to-identity", "list-past-int16", "bool"])
+    def test_bad_table_refused(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            StabilizedCode(2, 1, 0, (table,))
+
+    def test_message_names_the_table_and_the_count(self):
+        with pytest.raises(ValueError, match="table 1 entry 1 out of range: -1"):
+            StabilizedCode(2, 2, 0, (np.array([0, 1]), np.array([1, -1])))
+        with pytest.raises(ValueError, match="table 0 has 3 entries, expected 2"):
+            StabilizedCode(2, 1, 0, ([0, 1, 1],))
+        with pytest.raises(ValueError, match="expected 2 tables, found 1"):
+            StabilizedCode(2, 2, 0, ([0, 1],))
+
+
 class TestEvaluate:
     def test_identity(self):
         for a in range(2):

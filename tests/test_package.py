@@ -1,5 +1,6 @@
 """The package's lazy re-exports, and the CLI commands that need no numpy."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -27,7 +28,7 @@ EXPORTS = {
                "find_marker_scheme read_at",
     "permlab": "GroupHandle Permutation group_order is_primitive jordan_verdict p_cycle_search "
                "star three_cycle_from_arrangement",
-    "shifts": "Alphabet PeriodicPoint SftMatrix count_least_period_orbits count_periodic "
+    "shifts": "PeriodicPoint SftMatrix count_least_period_orbits count_periodic "
               "language_words power_alphabet_index",
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
@@ -73,3 +74,23 @@ def test_numpy_free_commands_load_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
+def test_every_import_in_the_package_is_used():
+    # a name bound by an import anywhere in a module, top level, local or
+    # under TYPE_CHECKING, must be read somewhere in that module
+    unused = []
+    for path in sorted((SRC / "stabaut").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
+    assert unused == []

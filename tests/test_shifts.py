@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stabaut.shifts import (
-    Alphabet,
     PeriodicPoint,
     SftMatrix,
     _mobius,
@@ -186,13 +185,6 @@ class TestPeriodicPoint:
 
 
 class TestAlphabetAndMatrix:
-    def test_alphabet_validation(self):
-        with pytest.raises(ValueError):
-            Alphabet(0)
-        Alphabet(3).check_letter(2)
-        with pytest.raises(ValueError):
-            Alphabet(3).check_letter(3)
-
     def test_edge_canonical_order(self):
         edges = SftMatrix(((0, 2), (1, 0))).edges()
         assert edges == ((0, 1, 0), (0, 1, 1), (1, 0, 0))
