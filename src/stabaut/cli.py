@@ -10,10 +10,11 @@ validates a file's tables, `Automorphism` its inverse pair, and a failed
 library self-check raises `VerificationFailed`.  `run` maps exception
 types to exit codes and prints one line, never a traceback.
 
-Only `permlab`, `invariants` and `shifts` load with this module: the
-`invariants`, `orbits` and `perm` commands never touch numpy.  The table
-modules (`codes`, `dimrep`, `generators`, `krembed`) and numpy are
-imported inside the functions that use them.
+Only `invariants` and `shifts` load with this module, so `invariants`
+and `orbits` start with neither numpy nor the group code.  `permlab` is
+imported by the commands that build permutations (`perm`,
+`verify-commutator`), and the table modules (`codes`, `dimrep`,
+`generators`, `krembed`) and numpy inside the functions that use them.
 """
 
 from __future__ import annotations
@@ -24,16 +25,6 @@ import sys
 from typing import TYPE_CHECKING
 
 from .invariants import distinguish_classical, distinguish_stabilized, omega, roots_set
-from .permlab import (
-    MAX_GROUP_DEGREE,
-    DegreeBudgetExceeded,
-    GroupHandle,
-    Permutation,
-    group_order,
-    is_primitive,
-    jordan_verdict,
-    p_cycle_search,
-)
 from .shifts import VerificationFailed, _power_exceeds, count_least_period_orbits
 
 if TYPE_CHECKING:
@@ -92,6 +83,13 @@ def _code_from_fields(n: int, period: int, radius: int, tables, where: str) -> S
         raise FileFormatError(f"{where}: {exc}") from None
 
 
+def _fields(record: dict, where: str, *keys) -> list:
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise FileFormatError(f"{where}: missing field '{missing[0]}'")
+    return [record[key] for key in keys]
+
+
 def automorphism_from_dict(data: dict) -> Automorphism:
     from .codes import Automorphism, find_inverse
 
@@ -99,8 +97,8 @@ def automorphism_from_dict(data: dict) -> Automorphism:
         raise FileFormatError("not an automorphism file")
     if data.get("version") != FORMAT_VERSION:
         raise FileFormatError(f"unsupported version {data.get('version')}")
-    n = data["n"]
-    fwd = _code_from_fields(n, data["period"], data["radius"], data["tables"], "forward")
+    n, *fields = _fields(data, "forward", "n", "period", "radius", "tables")
+    fwd = _code_from_fields(n, *fields, "forward")
     inv_data = data.get("inverse")
     if inv_data is None:
         # the inverse record is optional; fall back to a bounded search
@@ -112,9 +110,8 @@ def automorphism_from_dict(data: dict) -> Automorphism:
         return Automorphism(fwd, inv, verify=False)
     if type(inv_data) is not dict:
         raise FileFormatError("inverse: not a JSON object")
-    inv = _code_from_fields(
-        n, inv_data["period"], inv_data["radius"], inv_data["tables"], "inverse"
-    )
+    inv = _code_from_fields(n, *_fields(inv_data, "inverse", "period", "radius", "tables"),
+                            "inverse")
     return Automorphism(fwd, inv)
 
 
@@ -274,6 +271,7 @@ def _cmd_dimrep(args) -> tuple[int, dict]:
 def _cmd_verify_commutator(args) -> tuple[int, dict]:
     from .codes import _check_size
     from .generators import swap_commutator_witness
+    from .permlab import Permutation
 
     if args.a == args.b or not (0 <= args.a < args.n and 0 <= args.b < args.n):
         raise ValueError("need two distinct letters in 0 .. n-1")
@@ -347,6 +345,9 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
 
 
 def _cmd_perm(args) -> tuple[int, dict]:
+    from .permlab import (MAX_GROUP_DEGREE, DegreeBudgetExceeded, GroupHandle, Permutation,
+                          group_order, is_primitive, jordan_verdict, p_cycle_search)
+
     cycles = [_parse_cycles(text) for text in args.generators]
     degree = max([args.degree] + [p + 1 for gen in cycles for c in gen for p in c])
     if degree > MAX_GROUP_DEGREE:

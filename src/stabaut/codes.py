@@ -8,24 +8,24 @@ A^{2r+1} (indexed leftmost-significant) to letters, with semantics
 
 Windows are indexed leftmost-significant: the window (a_0, ..., a_{w-1})
 has index sum a_i n^(w-1-i), so slot 0 is the most significant digit and
-a length-k block over A is the same integer as one letter of A^k.  Every
-kernel reads windows through one primitive,
+a length-k block over A is the same integer as one letter of A^k.
 
-    subwindow(idx, n, width, lo, w) = (idx // n^(width-lo-w)) % n^w,
+Kernels that visit every window walk them with window_chunks(n, width).
+A chunk holds the n^s windows that share their leading width - s
+letters, where n^s is the largest power of n at most WINDOW_CHUNK (s >=
+1, so a chunk holds at most max(WINDOW_CHUNK, n) entries).  Seen through
+the shape (n,)*s, one axis per free slot, the index of the sub-window at
+slots lo .. lo+w-1 is a constant plus an arange over the free slots it
+covers: a sub-window is a reshape, and a table read of it is one
+contiguous table slice broadcast over the chunk (WindowChunk.take), with
+no division and no per-window gather.  Chunks keep peak RSS bounded at
+any radius.  Index arrays that are not a window walk (probes, block
+images, the census, the inverse search) are read through
 
-the index of the w-letter sub-window starting at slot lo of each
-width-letter window in idx; no kernel builds a matrix of letters.  Every
-kernel reads a code's outputs through one more,
+    subwindow(idx, n, width, lo, w) = (idx // n^(width-lo-w)) % n^w
 
-    read_outputs(code, windows, first),
-
-the index, in the same convention, of the outputs at positions first,
-first+1, ... given the input window index at each of them.
-
-Kernels that visit every window walk them in WINDOW_CHUNK pieces
-(index_chunks): the allocator keeps the pages of 512 KiB int64
-temporaries, where 4 MiB ones were faulted in again on every chunk, and
-peak RSS stays bounded at any radius.
+and the outputs of a code at them through read_outputs(code, windows,
+first).
 
 Tables are dense numpy arrays, so every comparison below is an exact,
 exhaustive check over all windows.  Size guards keep that honest:
@@ -106,14 +106,57 @@ def read_outputs(code: StabilizedCode, windows, first: int) -> np.ndarray:
 WINDOW_CHUNK = 2**16
 
 
-def index_chunks(total: int):
-    """Yield (start, indices start .. start+len-1) covering range(total).
+class WindowChunk:
+    """The n^s windows of `width` letters whose leading width - s letters
+    spell `prefix`, seen through the shape (n,)*s of their free slots."""
 
-    Kernels that enumerate every window work one WINDOW_CHUNK piece at a
-    time, so peak memory stays bounded for large radii.
-    """
-    for start in range(0, total, WINDOW_CHUNK):
-        yield start, np.arange(start, min(start + WINDOW_CHUNK, total), dtype=np.int64)
+    def __init__(self, n: int, width: int, s: int, prefix: int):
+        self.n, self.width, self.s, self.prefix = n, width, s, prefix
+        self.shape = (n,) * s
+
+    def take(self, table: np.ndarray, lo: int = 0, w: int | None = None, offset: int = 0):
+        """table[offset + the index of the sub-window at slots lo .. lo+w-1]
+        (the whole window by default) for every window of the chunk, as a
+        view broadcastable to self.shape: the sub-window's prefix letters
+        fix a base index, and its free slots run over one contiguous slice."""
+        n, head = self.n, self.width - self.s
+        w = self.width - lo if w is None else w
+        free = max(0, lo + w - max(lo, head))
+        fixed = w - free
+        # one scalar division per chunk reads the prefix letters in the sub-window
+        base = (self.prefix // n ** (head - lo - fixed)) % n**fixed * n**free if fixed else 0
+        before = max(lo, head) - head if free else 0
+        shape = (1,) * before + (n,) * free + (1,) * (self.s - before - free)
+        return table[offset + base: offset + base + n**free].reshape(shape)
+
+    def outputs(self, code: StabilizedCode, first: int, spans) -> np.ndarray:
+        """Index of the code's outputs at positions first, first+1, ... when
+        the i-th reads take(table, *spans[i]) of its position's table.  The
+        result spans only the chunk axes some read covers, so a sum over
+        reads that gain free slots from left to right stays small until the
+        last terms."""
+        out = np.int64(0)
+        for pos, span in enumerate(spans, start=first):
+            out = out * code.n + self.take(code.tables[pos % code.period], *span)
+        return out
+
+
+def window_chunks(n: int, width: int):
+    """The windows of `width` >= 1 letters, index order, one WindowChunk per
+    prefix of width - s letters; n^s is the largest power of n at most
+    WINDOW_CHUNK, with 1 <= s <= width."""
+    s = 1
+    while s < width and n ** (s + 1) <= WINDOW_CHUNK:
+        s += 1
+    for prefix in range(n ** (width - s)):
+        yield WindowChunk(n, width, s, prefix)
+
+
+def _widen(vector: np.ndarray, n: int, left: int, right: int) -> np.ndarray:
+    """The table over windows of left + w + right letters that reads
+    `vector` at the w letters in the middle: each entry repeated over the
+    right letters, the whole tiled over the left ones, no index array."""
+    return np.tile(np.repeat(vector, n**right), n**left)
 
 
 # window indices probed before an exact pass, so that a table without
@@ -121,13 +164,13 @@ def index_chunks(total: int):
 _PROBE_STEPS = np.arange(1, 9, dtype=np.int64) * 2654435761
 
 
-def _agrees(table: np.ndarray, want) -> bool:
-    """table[idx] == want(idx) at a few probe windows, then at every window
-    (in chunks: the pass runs while the caller's tables are alive)."""
+def _agrees(table: np.ndarray, n: int, width: int, image: np.ndarray, lo: int, w: int) -> bool:
+    """At every window, table equals image at the sub-window lo .. lo+w-1:
+    at a few probe windows first, then chunk by chunk (the pass runs while
+    the caller's tables are alive)."""
     probes = _PROBE_STEPS % table.size
-    return np.array_equal(table[probes], want(probes)) and all(
-        np.array_equal(table[start: start + idx.size], want(idx))
-        for start, idx in index_chunks(table.size))
+    return np.array_equal(table[probes], image[subwindow(probes, n, width, lo, w)]) and all(
+        (ch.take(table) == ch.take(image, lo, w)).all() for ch in window_chunks(n, width))
 
 
 def _derive_shift(n: int, radius: int, tables) -> int | None:
@@ -136,7 +179,7 @@ def _derive_shift(n: int, radius: int, tables) -> int | None:
     # the window with a single 1 at slot s reads 1 exactly when s = radius + j
     hits = np.flatnonzero(tables[0][n ** np.arange(width - 1, -1, -1)] == 1) if n > 1 else [radius]
     if (len(hits) == 1 and all(np.array_equal(t, tables[0]) for t in tables)
-            and _agrees(tables[0], lambda idx: subwindow(idx, n, width, hits[0], 1))):
+            and _agrees(tables[0], n, width, np.arange(n), int(hits[0]), 1)):
         return int(hits[0]) - radius
     return None
 
@@ -159,11 +202,11 @@ def _derive_block_map(n: int, k: int, radius: int, tables, shift_by) -> tuple[in
     images = np.zeros(n**k, dtype=np.int64)
     for c, t in enumerate(tables):
         lo, hi = max(0, radius - c), min(width, radius - c + k)
-        pad = n ** (width - hi)
-        # t at the same window with every slot outside lo .. hi-1 set to 0
-        if not _agrees(t, lambda idx: t[subwindow(idx, n, width, lo, hi - lo) * pad]):
+        # t at the windows with every slot outside lo .. hi-1 set to 0
+        image = t[: n ** (width - lo): n ** (width - hi)]
+        if not _agrees(t, n, width, image, lo, hi - lo):
             return None
-        images = images * n + t[subwindow(blocks, n, k, lo - radius + c, hi - lo) * pad]
+        images = images * n + image[subwindow(blocks, n, k, lo - radius + c, hi - lo)]
     return tuple(images.tolist()) if np.bincount(images, minlength=n**k).min() == 1 else None
 
 
@@ -189,7 +232,8 @@ class StabilizedCode:
     block_map: tuple[int, ...] | None = field(init=False, default=None)
 
     def __post_init__(self):
-        if self.n < 1 or self.period < 1 or self.radius < 0:
+        if (any(type(v) is not int for v in (self.n, self.period, self.radius))
+                or self.n < 1 or self.period < 1 or self.radius < 0):
             raise ValueError("bad code shape")
         if len(self.tables) != self.period:
             raise ValueError(f"expected {self.period} tables, found {len(self.tables)}")
@@ -227,8 +271,7 @@ class StabilizedCode:
             return cls.identity(n)
         r = abs(j)
         _check_size(n, r, 1)
-        idx = np.arange(window_count(n, r), dtype=np.int64)
-        return cls(n, 1, r, (subwindow(idx, n, 2 * r + 1, r + j, 1).astype(_table_dtype(n)),))
+        return cls(n, 1, r, (_widen(np.arange(n, dtype=_table_dtype(n)), n, r + j, r - j),))
 
     @classmethod
     def from_block_permutation(cls, n: int, k: int, images: tuple[int, ...]) -> "StabilizedCode":
@@ -240,11 +283,10 @@ class StabilizedCode:
         if sorted(images) != list(range(n**k)):
             raise ValueError("images must permute the n^k blocks")
         _check_size(n, k - 1, k)
-        idx = np.arange(window_count(n, k - 1), dtype=np.int64)
         img = np.asarray(images, dtype=np.int64)
-        tables = (subwindow(img[subwindow(idx, n, 2 * k - 1, k - 1 - c, k)], n, k, c, 1)
-                  for c in range(k))
-        return cls(n, k, k - 1, tuple(t.astype(_table_dtype(n)) for t in tables))
+        return cls(n, k, k - 1, tuple(
+            _widen(subwindow(img, n, k, c, 1).astype(_table_dtype(n)), n, k - 1 - c, c)
+            for c in range(k)))
 
     # -- evaluation ---------------------------------------------------
 
@@ -268,17 +310,9 @@ class StabilizedCode:
             return self
         _check_size(self.n, radius, period)
         pad = radius - self.radius
-        if pad == 0:
-            tables = [self.tables[c % self.period] for c in range(period)]
-            return StabilizedCode(self.n, period, radius, tuple(tables))
-        n = self.n
-        total = window_count(n, radius)
-        new = [np.empty(total, dtype=_table_dtype(n)) for _ in range(period)]
-        for start, idx in index_chunks(total):
-            inner = subwindow(idx, n, 2 * radius + 1, pad, 2 * self.radius + 1)
-            for c in range(period):
-                new[c][start: start + idx.size] = self.tables[c % self.period][inner]
-        return StabilizedCode(n, period, radius, tuple(new))
+        wide = [_widen(t, self.n, pad, pad) for t in self.tables] if pad else self.tables
+        return StabilizedCode(self.n, period, radius,
+                              tuple(wide[c % self.period] for c in range(period)))
 
     def __repr__(self):
         return f"StabilizedCode(n={self.n}, period={self.period}, radius={self.radius})"
@@ -310,14 +344,15 @@ def compose(f: StabilizedCode, g: StabilizedCode) -> StabilizedCode:
     period = lcm(f.period, g.period)
     radius = f.radius + g.radius
     _check_size(n, radius, period)
-    total = window_count(n, radius)
-    tables = [np.empty(total, dtype=_table_dtype(n)) for _ in range(period)]
-    for start, idx in index_chunks(total):
-        inner = [subwindow(idx, n, 2 * radius + 1, lo, 2 * g.radius + 1)
-                 for lo in range(2 * f.radius + 1)]
-        for c in range(period):
-            outer = read_outputs(g, inner, c - f.radius)
-            tables[c][start: start + idx.size] = f.tables[c % f.period][outer]
+    tables = [np.empty(window_count(n, radius), dtype=_table_dtype(n)) for _ in range(period)]
+    # f at class c reads g's outputs at c - r_f .., the i-th from slots i ..
+    # i + 2r_g, and those depend on c mod k_g alone
+    spans = [(i, 2 * g.radius + 1) for i in range(2 * f.radius + 1)]
+    for ch in window_chunks(n, 2 * radius + 1):
+        for rho in range(g.period):
+            outer = ch.outputs(g, rho - f.radius, spans)
+            for c in range(rho, period, g.period):
+                ch.take(tables[c])[...] = f.tables[c % f.period][outer]
     return StabilizedCode(n, period, radius, tuple(tables))
 
 

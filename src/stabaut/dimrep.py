@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import Automorphism, index_chunks, read_outputs, subwindow
+from .codes import Automorphism, window_chunks
 from .shifts import _power_exceeds, prime_factors
 
 
@@ -106,18 +106,17 @@ def ray_image_count(aut: Automorphism, tail_letter: int = 0) -> RayCount:
         raise MultiplierNotSupported(
             f"{q}^{free} ray extensions exceed the enumeration budget"
         )
+    # the walk runs over the free letters at positions 1..free; a window
+    # reaching back to position <= 0 starts with t tail letters, whose
+    # index is an offset into the table
+    spans = []
+    for out_pos in range(-r + 1, m + 1):
+        t = max(0, r - out_pos + 1)
+        tail = tail_letter * (q**t - 1) // (q - 1) * q ** (2 * r + 1 - t)
+        spans.append((out_pos - r - 1 + t, 2 * r + 1 - t, tail))
     seen = np.zeros(q**free, dtype=bool)
-
-    def windows(idx):
-        # idx holds the free letters at positions 1..free; a window
-        # reaching back to position <= 0 starts with t tail letters
-        for out_pos in range(-r + 1, m + 1):
-            t = max(0, r - out_pos + 1)
-            tail = tail_letter * (q**t - 1) // (q - 1) * q ** (2 * r + 1 - t)
-            yield tail + subwindow(idx, q, free, out_pos - r - 1 + t, 2 * r + 1 - t)
-
-    for _, idx in index_chunks(q**free):
-        seen[read_outputs(code, windows(idx), -r + 1)] = True
+    for ch in window_chunks(q, free):
+        seen[ch.outputs(code, -r + 1, spans)] = True
     return RayCount(m, int(np.count_nonzero(seen)))
 
 

@@ -19,9 +19,8 @@ from .codes import (
     code_power,
     compose_all,
     equals,
-    index_chunks,
-    read_outputs,
     subwindow,
+    window_chunks,
 )
 from .permlab import Permutation
 from .shifts import SftMatrix, VerificationFailed, lcm
@@ -215,7 +214,7 @@ def _recode_code(code: StabilizedCode) -> StabilizedCode:
     width = (2 * big_r + 1) * k
     _check_size(n**k, big_r, 1)
     table = np.empty(n**width, dtype=_table_dtype(n**k))
-    for start, idx in index_chunks(n**width):
-        windows = (subwindow(idx, n, width, big_r * k + c - r, 2 * r + 1) for c in range(k))
-        table[start: start + idx.size] = read_outputs(code, windows, 0)
+    spans = [(big_r * k + c - r, 2 * r + 1) for c in range(k)]
+    for ch in window_chunks(n, width):
+        ch.take(table)[...] = ch.outputs(code, 0, spans)
     return StabilizedCode(n**k, 1, big_r, (table,))

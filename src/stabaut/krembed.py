@@ -32,8 +32,7 @@ from .codes import (
     _check_size,
     _table_dtype,
     _verification_fits,
-    index_chunks,
-    subwindow,
+    window_chunks,
 )
 from .shifts import PeriodicPoint, SftMatrix, Word
 
@@ -248,26 +247,26 @@ def embed_code(code: StabilizedCode, scheme: MarkerScheme) -> StabilizedCode:
     W = r * R
     width = 2 * W + 1
     _check_size(q, W, period)
-    total = q**width
-    is_data = np.zeros(q, dtype=bool)
-    is_data[: n**2] = True
-    hi, lo = np.divmod(np.arange(q, dtype=np.int64) % n**2, n)
+    letters = np.arange(q, dtype=np.int64)
+    is_data = letters < n**2
+    hi, lo = np.divmod(letters % n**2, n)
     lookups = [[(w[:, 2 * m, None] * hi + w[:, 2 * m + 1, None] * lo).ravel()
                 for m in range(2 * r + 1)] for w in _walk_weights(n, r)]
-    tables = [np.empty(total, dtype=_table_dtype(q)) for _ in range(period)]
-    for start, idx in index_chunks(total):
-        # the walk reads and probes only the letters at slots W + m*R
-        slots = [subwindow(idx, q, width, W + m * R, 1) for m in range(-r, r + 1)]
+    # output class c depends on j0 = c // R alone: one table per source class
+    tables = [np.empty(q**width, dtype=_table_dtype(q)) for _ in range(k)]
+    for ch in window_chunks(q, width):
+        # the walk reads and probes only the letters at slots W + m*R, each
+        # an axis of the chunk (or a constant), so every array below spans
+        # those axes only
+        slots = [ch.take(letters, W + m * R, 1) for m in range(-r, r + 1)]
         data = [is_data[a] for a in slots]
         case = _stretch_case(data, r) * q
         win_u, win_l = (sum(look[case + a] for look, a in zip(walk, slots)) for walk in lookups)
-        centre = slots[r]
-        for c in range(period):
-            j0 = c // R
-            upper = code.tables[j0 % k][win_u].astype(np.int64)
+        for j0 in range(k):
+            upper = code.tables[j0][win_u].astype(np.int64)
             encoded = upper * n + code.tables[(1 - j0) % k][win_l]
-            tables[c][start: start + idx.size] = np.where(data[r], encoded, centre)
-    return StabilizedCode(q, period, W, tuple(tables))
+            ch.take(tables[j0])[...] = np.where(data[r], encoded, slots[r])
+    return StabilizedCode(q, period, W, tuple(tables[c // R] for c in range(period)))
 
 
 def _walk_weights(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -303,12 +302,12 @@ def _walk_weights(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
 def _stretch_case(data: list[np.ndarray], r: int) -> np.ndarray:
     """e_right*(r+1) + e_left, where the data slots run e_right slots right
     and e_left slots left of the centre slot r without a break."""
-    case = np.zeros(data[r].shape, dtype=np.int64)
+    case = 0
     for side, weight in ((data[r + 1:], r + 1), (data[:r][::-1], 1)):
-        unbroken = np.ones(case.shape, dtype=bool)
+        unbroken = True
         for d in side:
-            unbroken &= d
-            case += weight * unbroken
+            unbroken = unbroken & d
+            case = case + weight * unbroken
     return case
 
 

@@ -251,6 +251,18 @@ class TestExitCodes:
         assert run(["dimrep", str(path)]) == 1
         assert capsys.readouterr().err.startswith("file error: ")
 
+    @pytest.mark.parametrize("record, key", [
+        *(("forward", key) for key in ("n", "period", "radius", "tables")),
+        *(("inverse", key) for key in ("period", "radius", "tables")),
+    ])
+    def test_missing_field_is_file_error(self, tmp_path, capsys, record, key):
+        data = automorphism_to_dict(flip(2))
+        del (data if record == "forward" else data["inverse"])[key]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(data))
+        assert run(["dimrep", str(path)]) == 1
+        assert capsys.readouterr().err == f"file error: {record}: missing field '{key}'\n"
+
     def test_scheme_needs_an_object(self):
         with pytest.raises(FileFormatError):
             scheme_from_dict([1])

@@ -26,10 +26,10 @@ from stabaut.codes import (
     enumerate_automorphisms,
     equals,
     find_inverse,
-    index_chunks,
     read_outputs,
     subwindow,
     verify_inverse_pair,
+    window_chunks,
 )
 from stabaut.generators import (
     flip,
@@ -69,6 +69,12 @@ def random_codes(draw, count=1):
         codes.append(StabilizedCode(n, period, radius, tuple(
             rng.integers(0, n, n ** (2 * radius + 1)) for _ in range(period))))
     return codes
+
+
+def seeded_code(seed, n, period, radius):
+    rng = np.random.default_rng(seed)
+    return StabilizedCode(n, period, radius, tuple(
+        rng.integers(0, n, n ** (2 * radius + 1)) for _ in range(period)))
 
 
 @st.composite
@@ -171,12 +177,87 @@ class TestChunkBoundary:
         for x in self.POINTS:
             assert apply_to_periodic(refined, x) == apply_to_periodic(code, x)
 
-    @pytest.mark.parametrize("total", [0, WINDOW_CHUNK - 1, WINDOW_CHUNK, WINDOW_CHUNK + 1])
-    def test_index_chunks_cover_the_range_in_order(self, total):
-        pieces = list(index_chunks(total))
-        assert all(0 < idx.size <= WINDOW_CHUNK and idx[0] == start for start, idx in pieces)
-        joined = np.concatenate([idx for _, idx in pieces]) if pieces else np.arange(0)
-        assert np.array_equal(joined, np.arange(total))
+    # one chunk (2^15 windows), exactly WINDOW_CHUNK, two chunks of it, 5^7
+    # in chunks of 5^6, a single window, and 2^17 letters: one a chunk
+    @pytest.mark.parametrize("n, width", [(2, 15), (2, 16), (2, 17), (5, 7), (3, 1), (2**17, 1)])
+    def test_window_chunks_cover_the_range_in_order(self, n, width):
+        pieces = [ch.take(np.arange(n**width)) for ch in window_chunks(n, width)]
+        assert all(0 < p.size <= max(WINDOW_CHUNK, n) for p in pieces)
+        assert np.array_equal(np.concatenate([p.ravel() for p in pieces]), np.arange(n**width))
+
+    @given(st.integers(2, 5), st.data())
+    def test_take_reads_the_subwindow(self, n, data):
+        width = data.draw(st.integers(1, 7))
+        lo = data.draw(st.integers(0, width - 1))
+        w = data.draw(st.integers(1, width - lo))
+        chunk = data.draw(st.integers(1, n**width))
+        table = np.random.default_rng(data.draw(st.integers(0, 99))).integers(0, 99, n**w)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stabaut.codes, "WINDOW_CHUNK", chunk)
+            got = [np.broadcast_to(ch.take(table, lo, w), ch.shape).ravel()
+                   for ch in window_chunks(n, width)]
+        want = table[subwindow(np.arange(n**width), n, width, lo, w)]
+        assert np.array_equal(np.concatenate(got), want)
+
+
+class TestSmallChunks:
+    """The walking kernels with chunks of one to four letters, so that every
+    read straddles the split between a chunk's prefix and free letters."""
+
+    @staticmethod
+    def points(n):
+        rng = random.Random(n)
+        return [PeriodicPoint(tuple(rng.choices(range(n), k=length)), phase)
+                for length in (1, 4, 5, 6, 7) for phase in (0, 3 % length)]
+
+    @pytest.mark.parametrize("n, shapes", [
+        (2, ((2, 1), (3, 2))),  # radius 3: 2^7 windows
+        (3, ((2, 1), (1, 1))),
+        (5, ((2, 1), (2, 1))),  # 5^5 windows in chunks of one or two letters
+    ])
+    def test_compose_and_refine(self, small_chunk, n, shapes):
+        (kf, rf), (kg, rg) = shapes
+        f, g = seeded_code(1, n, kf, rf), seeded_code(2, n, kg, rg)
+        fg = compose(f, g)
+        refined = f.refine(2 * kf, rf + 1)
+        for x in self.points(n):
+            assert apply_to_periodic(fg, x) == apply_to_periodic(f, apply_to_periodic(g, x))
+            assert apply_to_periodic(refined, x) == apply_to_periodic(f, x)
+
+    def test_structure_is_read_over_every_window(self, small_chunk):
+        shift = shift_power(5, -2).forward
+        block = symbol_permutation(2, 3, Permutation((3, 0, 1, 2, 7, 4, 5, 6))).forward
+        assert StabilizedCode(5, 1, 2, shift.tables).shift_by == -2
+        assert StabilizedCode(2, 3, 2, block.tables).block_map == (3, 0, 1, 2, 7, 4, 5, 6)
+        # one entry changed where no probe looks: only the full pass sees it
+        for code in (shift, block):
+            tables = [np.array(t) for t in code.tables]
+            size = tables[0].size
+            probed = set((np.arange(1, 9) * 2654435761 % size).tolist())
+            i = max(set(range(size)) - probed)
+            tables[0][i] = (tables[0][i] + 1) % code.n
+            changed = StabilizedCode(code.n, code.period, code.radius, tuple(tables))
+            assert (changed.shift_by, changed.block_map) == (None, None)
+
+
+class TestWalkMemory:
+    """A walking kernel holds its output tables, the constructor's validated
+    copies of them, and a few chunk-sized temporaries."""
+
+    @pytest.mark.parametrize("n, shapes", [
+        (5, ((4, 2), (2, 2))),  # the benchmark's pair: 5^9 windows in chunks of 5^6
+        (2, ((2, 4), (1, 4))),  # 2^17 windows: two full chunks
+    ])
+    def test_compose(self, n, shapes):
+        (kf, rf), (kg, rg) = shapes
+        f, g = seeded_code(1, n, kf, rf), seeded_code(2, n, kg, rg)
+        tracemalloc.start()
+        try:
+            fg = compose(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(t.nbytes for t in fg.tables) + 4 * WINDOW_CHUNK * 8
 
 
 @st.composite
@@ -292,6 +373,15 @@ class TestTableValidation:
     def test_bad_table_refused(self, table, message):
         with pytest.raises(ValueError, match=message):
             StabilizedCode(2, 1, 0, (table,))
+
+    @pytest.mark.parametrize("shape", [
+        (2.0, 1, 0), (2, 1.0, 0), (2, 1, 0.0), (True, 1, 0), (2, True, 0), (2, 1, False),
+        (np.int64(2), 1, 0), ("2", 1, 0), (0, 1, 0), (2, 0, 0), (2, 1, -1),
+    ], ids=["float-n", "float-period", "float-radius", "bool-n", "bool-period", "bool-radius",
+            "numpy-n", "str-n", "zero-n", "zero-period", "negative-radius"])
+    def test_bad_shape_refused(self, shape):
+        with pytest.raises(ValueError, match="bad code shape"):
+            StabilizedCode(*shape, ([1, 0],))
 
     def test_message_names_the_table_and_the_count(self):
         with pytest.raises(ValueError, match="table 1 entry 1 out of range: -1"):

@@ -120,6 +120,18 @@ def small_automorphisms(draw):
     return aut
 
 
+class TestRayCountWalk:
+    @pytest.mark.parametrize("aut", [
+        shift_power(3, 2),  # 3^6 extensions
+        aut_compose(flip_on_even(2), shift_power(2, -1)),
+        aut_compose(symbol_permutation(2, 2, Permutation((1, 2, 3, 0))), shift_power(2, 1)),
+    ], ids=["shift-3-2", "flip-on-even-shift", "block-shift"])
+    def test_with_small_chunks(self, small_chunk, aut):
+        for tail in (0, 1):
+            rc = ray_image_count(aut, tail)
+            assert (rc.m, rc.count) == brute_ray_count(aut, tail)
+
+
 class TestRayCountProperty:
     @settings(max_examples=40, deadline=None)
     @given(small_automorphisms(), st.integers(0, 1))

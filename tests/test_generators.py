@@ -330,6 +330,12 @@ class TestSubBlockImages:
         assert phi0.forward.block_map == tuple(want)
 
 
+def blocks(x, length, n, k):
+    """The point over A^k whose z-th letter is the k-block of x at zk."""
+    return PeriodicPoint(tuple(power_alphabet_index(n, k, x.window(i, i + k - 1))
+                               for i in range(0, length, k)))
+
+
 class TestRecodeToPower:
     def test_shift_square_recodes_to_four_shift(self):
         sigma2 = aut_compose(shift_power(2, 1), shift_power(2, 1))
@@ -357,18 +363,24 @@ class TestRecodeToPower:
         code = StabilizedCode(n, k, radius, tuple(
             rng.integers(0, n, n ** (2 * radius + 1)) for _ in range(k)))
         recoded = _recode_code(code)
-
-        def blocks(x, length):
-            # the point over A^k whose z-th letter is the k-block of x at zk
-            return PeriodicPoint(tuple(power_alphabet_index(n, k, x.window(i, i + k - 1))
-                                       for i in range(0, length, k)))
-
         for _ in range(3):
             length = k * data.draw(st.integers(1, 3))
             block = data.draw(st.lists(st.integers(0, n - 1), min_size=length, max_size=length))
             x = PeriodicPoint(tuple(block), data.draw(st.integers(0, length - 1)))
             y = apply_to_periodic(code, x)
-            assert apply_to_periodic(recoded, blocks(x, length)) == blocks(y, length)
+            assert apply_to_periodic(recoded, blocks(x, length, n, k)) == blocks(y, length, n, k)
+
+    @pytest.mark.parametrize("n, k, radius", [(2, 3, 2), (3, 2, 1), (5, 1, 1)])
+    def test_with_small_chunks(self, small_chunk, n, k, radius):
+        rng = np.random.default_rng(n)
+        code = StabilizedCode(n, k, radius, tuple(
+            rng.integers(0, n, n ** (2 * radius + 1)) for _ in range(k)))
+        recoded = _recode_code(code)
+        letters = random.Random(n)
+        for length in (k, 2 * k, 3 * k):
+            x = PeriodicPoint(tuple(letters.choices(range(n), k=length)))
+            y = apply_to_periodic(code, x)
+            assert apply_to_periodic(recoded, blocks(x, length, n, k)) == blocks(y, length, n, k)
 
     def test_homomorphism_on_samples(self):
         pool = [flip(2), shift_power(2, 1), flip_on_even(2), shift_power(2, -1)]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,32 @@ class TestEmbedCode:
             for _ in range(3):
                 x = PeriodicPoint(tuple(letters.choices(range(5), k=length)))
                 assert apply_to_periodic(e, x) == embed_oracle(code, scheme, x)
+
+    @pytest.mark.parametrize("radius, gap", [(1, 2), (1, 3), (2, 1)])
+    def test_with_small_chunks(self, small_chunk, radius, gap):
+        # windows of 5, 7 and 5 letters over 5, split after every letter
+        rng = np.random.default_rng(gap)
+        code = StabilizedCode(2, 2, radius, tuple(
+            rng.integers(0, 2, 2 ** (2 * radius + 1)) for _ in range(2)))
+        scheme = find_marker_scheme(5, 2, gap)
+        e = embed_code(code, scheme)
+        letters = random.Random(gap)
+        for length in (1, 3, 4, 6, 7, 12):
+            x = PeriodicPoint(tuple(letters.choices(range(5), k=length)))
+            assert apply_to_periodic(e, x) == embed_oracle(code, scheme, x)
+
+    def test_memory_is_tables_and_a_few_chunks(self):
+        # the benchmark's radius-2 embed: 4 tables of 5^9 windows, built as
+        # one table per source class and copied once by the constructor
+        code = StabilizedCode(2, 2, 2, tuple(
+            np.random.default_rng(6).integers(0, 2, 32) for _ in range(2)))
+        tracemalloc.start()
+        try:
+            e = embed_code(code, SCHEME)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(t.nbytes for t in e.tables) + 4 * WINDOW_CHUNK * 8
 
     def test_data_pattern_preserved(self):
         e = embed_code(shift_power(2, 1).forward, SCHEME)

@@ -76,6 +76,18 @@ def test_numpy_free_commands_load_no_numpy():
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
+def test_orbits_and_invariants_load_no_group_code():
+    proc = run_python(
+        "import sys\n"
+        "from stabaut.cli import run\n"
+        "codes = [run(['orbits', '3', '3']), run(['invariants', '12', '18'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.startswith('stabaut.')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "[0, 0] ['stabaut.cli', 'stabaut.invariants', 'stabaut.shifts']")
+
+
 def test_every_import_in_the_package_is_used():
     # a name bound by an import anywhere in a module, top level, local or
     # under TYPE_CHECKING, must be read somewhere in that module
