@@ -12,8 +12,9 @@ a length-k block over A is the same integer as one letter of A^k.
 
 Kernels that visit every window walk them with window_chunks(n, width).
 A chunk holds the n^s windows that share their leading width - s
-letters, where n^s is the largest power of n at most WINDOW_CHUNK (s >=
-1, so a chunk holds at most max(WINDOW_CHUNK, n) entries).  Seen through
+letters, where n^s is the power of n nearest WINDOW_CHUNK in log terms
+(s >= 1, so a chunk holds at most max(n, WINDOW_CHUNK * sqrt(n))
+entries).  Seen through
 the shape (n,)*s, one axis per free slot, the index of the sub-window at
 slots lo .. lo+w-1 is a constant plus an arange over the free slots it
 covers: a sub-window is a reshape, and a table read of it is one
@@ -114,11 +115,11 @@ class WindowChunk:
         self.n, self.width, self.s, self.prefix = n, width, s, prefix
         self.shape = (n,) * s
 
-    def take(self, table: np.ndarray, lo: int = 0, w: int | None = None, offset: int = 0):
-        """table[offset + the index of the sub-window at slots lo .. lo+w-1]
-        (the whole window by default) for every window of the chunk, as a
-        view broadcastable to self.shape: the sub-window's prefix letters
-        fix a base index, and its free slots run over one contiguous slice."""
+    def take(self, table: np.ndarray, lo: int = 0, w: int | None = None):
+        """table[the index of the sub-window at slots lo .. lo+w-1] (the
+        whole window by default) for every window of the chunk, as a view
+        broadcastable to self.shape: the sub-window's prefix letters fix a
+        base index, and its free slots run over one contiguous slice."""
         n, head = self.n, self.width - self.s
         w = self.width - lo if w is None else w
         free = max(0, lo + w - max(lo, head))
@@ -127,26 +128,28 @@ class WindowChunk:
         base = (self.prefix // n ** (head - lo - fixed)) % n**fixed * n**free if fixed else 0
         before = max(lo, head) - head if free else 0
         shape = (1,) * before + (n,) * free + (1,) * (self.s - before - free)
-        return table[offset + base: offset + base + n**free].reshape(shape)
+        return table[base: base + n**free].reshape(shape)
 
-    def outputs(self, code: StabilizedCode, first: int, spans) -> np.ndarray:
-        """Index of the code's outputs at positions first, first+1, ... when
-        the i-th reads take(table, *spans[i]) of its position's table.  The
-        result spans only the chunk axes some read covers, so a sum over
-        reads that gain free slots from left to right stays small until the
-        last terms."""
-        out = np.int64(0)
-        for pos, span in enumerate(spans, start=first):
-            out = out * code.n + self.take(code.tables[pos % code.period], *span)
+    def outputs(self, n: int, reads) -> np.ndarray:
+        """Leftmost-significant index of the letters take(table, lo, w)
+        reads, one letter for each (table, lo, w) of `reads`.  The result
+        spans only the chunk axes some read covers, so a sum over reads that
+        gain free slots from left to right stays small until the last terms."""
+        # an int64 array, not a scalar, so the sum is int64 under any promotion rules
+        out = np.zeros((1,) * self.s, dtype=np.int64)
+        for table, lo, w in reads:
+            out = out * n + self.take(table, lo, w)
         return out
 
 
 def window_chunks(n: int, width: int):
     """The windows of `width` >= 1 letters, index order, one WindowChunk per
-    prefix of width - s letters; n^s is the largest power of n at most
-    WINDOW_CHUNK, with 1 <= s <= width."""
+    prefix of width - s letters; n^s, 1 <= s <= width, is the power of n
+    nearest WINDOW_CHUNK in log terms, so a chunk holds at most
+    max(n, WINDOW_CHUNK * sqrt(n)) windows."""
     s = 1
-    while s < width and n ** (s + 1) <= WINDOW_CHUNK:
+    # n^(s+1) is at least as near as n^s when n^(2s+1) <= WINDOW_CHUNK^2
+    while s < width and n ** (2 * s + 1) <= WINDOW_CHUNK**2:
         s += 1
     for prefix in range(n ** (width - s)):
         yield WindowChunk(n, width, s, prefix)
@@ -347,10 +350,11 @@ def compose(f: StabilizedCode, g: StabilizedCode) -> StabilizedCode:
     tables = [np.empty(window_count(n, radius), dtype=_table_dtype(n)) for _ in range(period)]
     # f at class c reads g's outputs at c - r_f .., the i-th from slots i ..
     # i + 2r_g, and those depend on c mod k_g alone
-    spans = [(i, 2 * g.radius + 1) for i in range(2 * f.radius + 1)]
+    reads = [[(g.tables[(rho - f.radius + i) % g.period], i, 2 * g.radius + 1)
+              for i in range(2 * f.radius + 1)] for rho in range(g.period)]
     for ch in window_chunks(n, 2 * radius + 1):
         for rho in range(g.period):
-            outer = ch.outputs(g, rho - f.radius, spans)
+            outer = ch.outputs(n, reads[rho])
             for c in range(rho, period, g.period):
                 ch.take(tables[c])[...] = f.tables[c % f.period][outer]
     return StabilizedCode(n, period, radius, tuple(tables))

@@ -107,16 +107,17 @@ def ray_image_count(aut: Automorphism, tail_letter: int = 0) -> RayCount:
             f"{q}^{free} ray extensions exceed the enumeration budget"
         )
     # the walk runs over the free letters at positions 1..free; a window
-    # reaching back to position <= 0 starts with t tail letters, whose
-    # index is an offset into the table
-    spans = []
+    # reaching back to position <= 0 starts with t tail letters, so it is
+    # read from the table slice that those letters select
+    reads = []
     for out_pos in range(-r + 1, m + 1):
         t = max(0, r - out_pos + 1)
         tail = tail_letter * (q**t - 1) // (q - 1) * q ** (2 * r + 1 - t)
-        spans.append((out_pos - r - 1 + t, 2 * r + 1 - t, tail))
+        table = code.tables[out_pos % code.period][tail:]
+        reads.append((table, out_pos - r - 1 + t, 2 * r + 1 - t))
     seen = np.zeros(q**free, dtype=bool)
     for ch in window_chunks(q, free):
-        seen[ch.outputs(code, -r + 1, spans)] = True
+        seen[ch.outputs(q, reads)] = True
     return RayCount(m, int(np.count_nonzero(seen)))
 
 

@@ -214,7 +214,7 @@ def _recode_code(code: StabilizedCode) -> StabilizedCode:
     width = (2 * big_r + 1) * k
     _check_size(n**k, big_r, 1)
     table = np.empty(n**width, dtype=_table_dtype(n**k))
-    spans = [(big_r * k + c - r, 2 * r + 1) for c in range(k)]
+    reads = [(code.tables[c], big_r * k + c - r, 2 * r + 1) for c in range(k)]
     for ch in window_chunks(n, width):
-        ch.take(table)[...] = ch.outputs(code, 0, spans)
+        ch.take(table)[...] = ch.outputs(n, reads)
     return StabilizedCode(n**k, 1, big_r, (table,))

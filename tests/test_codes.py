@@ -178,12 +178,24 @@ class TestChunkBoundary:
             assert apply_to_periodic(refined, x) == apply_to_periodic(code, x)
 
     # one chunk (2^15 windows), exactly WINDOW_CHUNK, two chunks of it, 5^7
-    # in chunks of 5^6, a single window, and 2^17 letters: one a chunk
-    @pytest.mark.parametrize("n, width", [(2, 15), (2, 16), (2, 17), (5, 7), (3, 1), (2**17, 1)])
+    # in one chunk (nearer 2^16 than 5^6 is), a single window, 2^17
+    # letters one a chunk, and 300^2 in one chunk, not in 300 of 300
+    @pytest.mark.parametrize("n, width", [
+        (2, 15), (2, 16), (2, 17), (5, 7), (3, 1), (2**17, 1), (300, 2)])
     def test_window_chunks_cover_the_range_in_order(self, n, width):
         pieces = [ch.take(np.arange(n**width)) for ch in window_chunks(n, width)]
-        assert all(0 < p.size <= max(WINDOW_CHUNK, n) for p in pieces)
+        assert all(p.size == n or 0 < p.size**2 <= WINDOW_CHUNK**2 * n for p in pieces)
+        assert len(pieces) <= n  # here, at most n chunks a walk
         assert np.array_equal(np.concatenate([p.ravel() for p in pieces]), np.arange(n**width))
+
+    def test_outputs_are_int64_whatever_the_table_dtype(self):
+        # indices past 2^15 - 1 overflow int16: the sum must be int64 under
+        # NumPy 1's value-based casting as under NEP 50
+        table = np.arange(5**7, dtype=np.int16) % 5
+        (ch,) = window_chunks(5, 7)
+        got = ch.outputs(5, [(table, lo, 1) for lo in range(7)])
+        assert got.dtype == np.int64
+        assert np.array_equal(np.broadcast_to(got, ch.shape).ravel(), np.arange(5**7))
 
     @given(st.integers(2, 5), st.data())
     def test_take_reads_the_subwindow(self, n, data):
@@ -245,7 +257,7 @@ class TestWalkMemory:
     copies of them, and a few chunk-sized temporaries."""
 
     @pytest.mark.parametrize("n, shapes", [
-        (5, ((4, 2), (2, 2))),  # the benchmark's pair: 5^9 windows in chunks of 5^6
+        (5, ((4, 2), (2, 2))),  # the benchmark's pair: 5^9 windows in chunks of 5^7
         (2, ((2, 4), (1, 4))),  # 2^17 windows: two full chunks
     ])
     def test_compose(self, n, shapes):
