@@ -20,13 +20,11 @@ slots lo .. lo+w-1 is a constant plus an arange over the free slots it
 covers: a sub-window is a reshape, and a table read of it is one
 contiguous table slice broadcast over the chunk (WindowChunk.take), with
 no division and no per-window gather.  Chunks keep peak RSS bounded at
-any radius.  Index arrays that are not a window walk (probes, block
-images, the census, the inverse search) are read through
+any radius.  Index arrays that are not a window walk (the structure
+probes, block images, the census prefilter, the admissible windows of a
+shift of finite type) are read through
 
     subwindow(idx, n, width, lo, w) = (idx // n^(width-lo-w)) % n^w
-
-and the outputs of a code at them through read_outputs(code, windows,
-first).
 
 Tables are dense numpy arrays, so every comparison below is an exact,
 exhaustive check over all windows.  Size guards keep that honest:
@@ -73,7 +71,9 @@ def window_count(n: int, radius: int) -> int:
 
 
 def _check_size(n: int, radius: int, period: int) -> None:
-    """Refuse `period` tables of n^(2r+1) entries past the budget."""
+    """Refuse `period` tables of n^(2r+1) entries past the budget.  A check
+    that reads tables in place calls it with the shape it walks, so there
+    the budget bounds windows walked, not bytes held."""
     width = 2 * radius + 1
     if _power_exceeds(n, width, MAX_TABLE_ENTRIES, period):
         raise CodeSizeExceeded(
@@ -87,21 +87,6 @@ def subwindow(idx, n: int, width: int, lo: int, w: int):
     width-letter window index in `idx` (leftmost-significant; idx and lo
     may be ints or numpy arrays)."""
     return (idx // n ** (width - lo - w)) % n**w
-
-
-def read_outputs(code: StabilizedCode, windows, first: int) -> np.ndarray:
-    """Leftmost-significant index of the code's outputs at positions
-    first, first+1, ..., where the i-th entry of `windows` is the index
-    array of the input windows at position first + i.  Each window is
-    read as it is produced, so a generator holds one at a time."""
-    out = None
-    for pos, win in enumerate(windows, start=first):
-        if out is None:
-            # zeroed up front: an accumulator made by the first addition raised peak RSS
-            out = np.zeros(win.shape, dtype=np.int64)
-        out *= code.n
-        out += code.tables[pos % code.period][win]
-    return out
 
 
 WINDOW_CHUNK = 2**16
@@ -396,48 +381,54 @@ def _inflate_block_map(n: int, k: int, images: tuple[int, ...], t: int) -> np.nd
 def equals(f: StabilizedCode, g: StabilizedCode, sft: SftMatrix | None = None) -> bool:
     """Exact pointwise equality of the induced maps.
 
-    Both codes are refined to a common period and radius and their
-    tables compared entrywise.  With `sft` given, only windows
-    admissible for that shift of finite type are compared.
+    Both codes are read in place over the windows of the common radius R,
+    and the walk stops at the first chunk that differs.  Codes of different
+    shapes are refused where their refinements to the common shape would
+    be, so the budget bounds windows walked, not bytes held.  With `sft`,
+    only windows admissible for that shift of finite type are compared.
     """
     if f.n != g.n:
         raise ValueError("alphabet mismatch")
+    n = f.n
     period = lcm(f.period, g.period)
     radius = max(f.radius, g.radius)
-    if (
-        sft is None
-        and f.block_map is not None
-        and g.block_map is not None
-        and f.n**period <= window_count(f.n, radius) * period
-    ):
+    if (sft is None and f.block_map is not None and g.block_map is not None
+            and n**period <= window_count(n, radius) * period):
         # aligned blockwise codes agree as maps iff their block
         # permutations agree after inflating to the common period (no
         # larger than the refined tables)
-        fm = _inflate_block_map(f.n, f.period, f.block_map, period // f.period)
-        gm = _inflate_block_map(g.n, g.period, g.block_map, period // g.period)
+        fm = _inflate_block_map(n, f.period, f.block_map, period // f.period)
+        gm = _inflate_block_map(n, g.period, g.block_map, period // g.period)
         return np.array_equal(fm, gm)
-    fr = f.refine(period, radius)
-    gr = g.refine(period, radius)
-    idx = slice(None) if sft is None else _admissible_window_indices(f.n, radius, sft)
-    return all(np.array_equal(a[idx], b[idx]) for a, b in zip(fr.tables, gr.tables))
+    if (f.period, f.radius) != (g.period, g.radius):
+        _check_size(n, radius, period)
+    width = 2 * radius + 1
+    # class c of h reads table c mod k_h at slots R - r_h .. R + r_h
+    reads = [[(h.tables[c % h.period], radius - h.radius, 2 * h.radius + 1) for h in (f, g)]
+             for c in range(period)]
+    if sft is not None:
+        windows = _admissible_window_indices(n, radius, sft)
+        return all(np.array_equal(*(t[subwindow(windows, n, width, lo, w)] for t, lo, w in pair))
+                   for pair in reads)
+    return all((ch.take(*a) == ch.take(*b)).all()
+               for ch in window_chunks(n, width) for a, b in reads)
 
 
 def commutes_with_shift_power(code: StabilizedCode, m: int, sft: SftMatrix | None = None) -> bool:
     """Whether shift^m conjugation fixes the code.
 
-    After refining to period lcm(k, m), conjugating by shift^m shifts
-    the position-class index by m, so commutation is invariance of the
-    table tuple under that index shift.
+    Conjugating by shift^m moves the position class by m, and refined to
+    period lcm(k, m) class c reads table c mod k, so commutation is
+    tables[c] == tables[(c + m) mod k] for c < k.  The tables are read in
+    place, so the only windows walked are the code's own: no budget
+    applies beyond the one its tables met, whatever m is.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    period = lcm(code.period, m)
-    r = code.refine(period, code.radius)
+    k = code.period
     idx = slice(None) if sft is None else _admissible_window_indices(code.n, code.radius, sft)
-    return all(
-        np.array_equal(r.tables[c][idx], r.tables[(c + m) % period][idx])
-        for c in range(period)
-    )
+    return all(np.array_equal(code.tables[c][idx], code.tables[(c + m) % k][idx])
+               for c in range(k))
 
 
 def verify_inverse_pair(f: StabilizedCode, g: StabilizedCode, sft: SftMatrix | None = None) -> bool:
@@ -524,32 +515,37 @@ def aut_equals(a: Automorphism, b: Automorphism) -> bool:
     return equals(a.forward, b.forward)
 
 
+def _pin(table: np.ndarray, out: np.ndarray, centre: np.ndarray) -> bool:
+    """Set table[out] = centre; False if an earlier pin set an entry to another
+    letter or two windows of `out` need different ones."""
+    before = table[out]
+    table[out] = centre
+    return not ((before >= 0) & (before != centre)).any() and bool((table[out] == centre).all())
+
+
 def find_inverse(code: StabilizedCode, max_radius: int) -> StabilizedCode | None:
     """Search for an inverse code of radius <= max_radius by constraint propagation.
 
     For an inverse g of radius s, g(f(x))_z = x_z pins the g-table entry
-    at every f-output window; any conflict rules out that radius.  A
-    consistent, fully verified candidate is returned, otherwise None.
+    at every f-output window to its centre letter: one walk over the
+    windows of width 2(s + r) + 1 pins them chunk by chunk, and the first
+    conflict rules out radius s.  The budget bounds the windows walked, not
+    bytes held.  A consistent, fully verified candidate is returned,
+    otherwise None.
     """
     n, k, r = code.n, code.period, code.radius
+    letters = np.arange(n, dtype=_table_dtype(n))
     for s in range(max_radius + 1):
         span = s + r
         _check_size(n, span, 1)
-        width = 2 * span + 1
-        idx = np.arange(window_count(n, span), dtype=np.int64)
-        inner = [subwindow(idx, n, width, lo, 2 * r + 1) for lo in range(2 * s + 1)]
-        centre = subwindow(idx, n, width, span, 1)
-        tables = []
-        for c in range(k):
-            out_idx = read_outputs(code, inner, c - s)
-            table = np.full(window_count(n, s), -1, dtype=np.int64)
-            table[out_idx] = centre
-            if (table[out_idx] != centre).any():
-                break  # a conflict rules out radius s
-            table[table < 0] = 0
-            tables.append(table.astype(_table_dtype(n)))
-        else:
-            cand = StabilizedCode(n, k, s, tuple(tables))
+        # g at class c reads f's outputs at c - s .., the i-th from slots i .. i + 2r
+        reads = [[(code.tables[(c - s + i) % k], i, 2 * r + 1) for i in range(2 * s + 1)]
+                 for c in range(k)]
+        tables = [np.full(window_count(n, s), -1, dtype=letters.dtype) for _ in range(k)]
+        if all(_pin(table, ch.outputs(n, read), ch.take(letters, span, 1))
+               for ch in window_chunks(n, 2 * span + 1) for table, read in zip(tables, reads)):
+            # entries no window pins may hold any letter
+            cand = StabilizedCode(n, k, s, tuple(np.maximum(t, 0) for t in tables))
             if verify_inverse_pair(code, cand):
                 return cand
     return None
@@ -569,6 +565,11 @@ def enumerate_automorphisms(n: int, r: int, k: int, budget: int = 200_000) -> li
             or _power_exceeds(n, window_count(n, r) * k, budget)):
         raise BudgetExceeded(
             f"{n}^(w*{k}) candidates for w = {n}^{2 * r + 1} windows exceed budget {budget}")
+    # over one letter there is one candidate whatever the shape, but the prefilter
+    # walks points of max(k, 2r + 1) letters; over more, the check above bounds those
+    if max(k, 2 * r + 1) > budget.bit_length():
+        raise BudgetExceeded(f"periodic points of {max(k, 2 * r + 1)} letters exceed the "
+                             f"{budget.bit_length()} that budget {budget} allows")
     w = window_count(n, r)
     survivors = _bijective_on_periodics(n, r, k)
     out = []
@@ -599,9 +600,7 @@ def _bijective_on_periodics(n: int, r: int, k: int) -> list[tuple[int, ...]]:
     """
     w = window_count(n, r)
     per_table = n**w
-    length = k
-    while length < max(2 * r + 1, 4):
-        length += k
+    length = -(-max(2 * r + 1, 4) // k) * k  # the least multiple of k of at least that
     idx = np.arange(n**length, dtype=np.int64)
     tidx = np.arange(per_table, dtype=np.int64)[:, None]
     # partial contribution of each table choice per residue class: the

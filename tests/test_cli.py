@@ -1,8 +1,11 @@
 import json
 import random
+import signal
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabaut.cli import (
     FileFormatError,
@@ -386,3 +389,116 @@ class TestStructureAfterLoading:
         assert run(["--json", "invariants", "2", str(2**61 - 1)]) == 0
         assert time.perf_counter() - start < 1.0
         assert json.loads(capsys.readouterr().out)["roots_n"] == [1]
+
+
+# -- fuzz -----------------------------------------------------------------
+
+# values at the small edge of every argument's range, values past every size
+# budget, and strings argparse refuses; an embedding target also takes 4 and 5,
+# the edge of "at least n^2 + 1 letters".  Mid-size valid inputs that take
+# seconds by right (`embed --target 5 --gap 4` writes its tables in 2.3 s) are
+# left to the command tests, so the deadline below sees hangs, not work.
+FUZZ_INTS = st.sampled_from(["-1", "0", "1", "2", "3", str(2**31 - 1), str(2**61 - 1),
+                             str(10**30), "x", "1.5", "-0", "0x10"])
+CYCLES = ["(1 2)", "(1 2 3)(4 5)", "(1,2,3,4,5,6,7,8,9)", "(1 2 3 4)", "()", "(0 1)", "(1 1)",
+          "((1 2))", "(1 2", "1 2)", "(a b)", "(65 1)", "(1 2)(2 3)", "(99999999999999999999)"]
+
+
+def fuzz_files(root):
+    """Paths of valid automorphism files, and of malformed and missing ones."""
+    auts = {"flip": flip(2), "sigma": shift_power(2, 1), "flip-on-even": flip_on_even(2)}
+    records = {name: automorphism_to_dict(aut) for name, aut in auts.items()}
+    base = records["flip"]
+    edits = {
+        "no-inverse": {k: v for k, v in records["sigma"].items() if k != "inverse"},
+        "wrong-inverse": {**records["sigma"], "inverse": {**records["sigma"]["inverse"],
+                                                          "tables": records["sigma"]["tables"]}},
+        "list": [1], "string": "stabaut", "null": None,
+        "version-2": {**base, "version": 2},
+        "huge-n": {**base, "n": 10**30}, "negative-n": {**base, "n": -2},
+        "huge-radius": {**base, "radius": 2**61 - 1}, "zero-period": {**base, "period": 0},
+        "float-radius": {**base, "radius": 0.5}, "bool-n": {**base, "n": True},
+        "tables-int": {**base, "tables": 5}, "bool-entry": {**base, "tables": [[0, True]]},
+        "float-entry": {**base, "tables": [[0, 1.0]]}, "str-entry": {**base, "tables": [["0", 1]]},
+        "out-of-range": {**base, "tables": [[0, 2]]}, "short-table": {**base, "tables": [[0]]},
+        "huge-entry": {**base, "tables": [[0, 10**30]]},
+        "inverse-list": {**base, "inverse": []},
+        "inverse-missing-radius": {**base, "inverse": {"period": 1, "tables": [[1, 0]]}},
+        "inverse-huge-period": {**base, "inverse": {**base["inverse"], "period": 2**61 - 1}},
+        "no-tables": {k: v for k, v in base.items() if k != "tables"},
+    }
+    texts = {name: json.dumps(record) for name, record in {**records, **edits}.items()}
+    texts.update({"truncated": canonical_json(base)[:-9], "empty": "",
+                  "not-json": "{format: 1}", "nan": '{"n": NaN}'})
+    for name, text in texts.items():
+        (root / f"{name}.json").write_text(text)
+    (root / "bytes.json").write_bytes(b"\xff\xfe\x00{")
+    # a record without an inverse is valid: the loader searches for one
+    good = [*records, "no-inverse"]
+    bad = [str(root / "missing.json"), str(root), str(root / "bytes.json")]
+    bad += [str(root / f"{name}.json") for name in texts if name not in good]
+    return [str(root / f"{name}.json") for name in good], bad
+
+
+@st.composite
+def cli_argvs(draw, files, out):
+    """An argv for one of the 8 subcommands, with edge integers, files
+    both good and malformed, and cycle strings both good and bad."""
+    good, bad = files
+    ints, file = (lambda: draw(FUZZ_INTS),
+                  lambda: draw(st.sampled_from(good) | st.sampled_from(bad)))
+    command = draw(st.sampled_from(["invariants", "orbits", "dimrep", "verify-commutator",
+                                    "root", "embed", "enumerate", "perm"]))
+    argv = [command]
+    if command in ("invariants", "orbits"):
+        argv += [ints(), ints()]
+    elif command == "dimrep":
+        argv += [file()]
+    elif command in ("verify-commutator", "enumerate"):
+        argv += [ints(), ints(), ints()]
+    elif command == "root":
+        argv += [file(), ints()] + draw(st.sampled_from([[], ["--out", out]]))
+    elif command == "embed":
+        argv += [file(), "--target", draw(st.sampled_from(["4", "5"]) | FUZZ_INTS)]
+        argv += draw(st.sampled_from([[], ["--gap", ints()]]))
+        argv += draw(st.sampled_from([[], ["--out", out], ["--scheme-out", out]]))
+    else:
+        argv += [draw(st.sampled_from(["order", "primitive", "jordan", "pcycle"]))]
+        argv += draw(st.lists(st.sampled_from(CYCLES), min_size=1, max_size=3))
+        argv += draw(st.sampled_from([[], ["--degree", ints()]]))
+        argv += draw(st.sampled_from([[], ["--side", ints()]]))
+    prefix = draw(st.sampled_from([[], ["--json"], ["--seed", ints()]]))
+    return prefix + argv
+
+
+class _Deadline(BaseException):
+    """Raised by the alarm; not an Exception, so no handler in run takes it."""
+
+
+def _on_alarm(signum, frame):
+    raise _Deadline
+
+
+class TestFuzz:
+    """cli.run over generated argv: every example exits 0, 1 or 2 within
+    about two seconds, and no exception escapes run."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        return fuzz_files(root), str(root / "out.json")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_run_returns_an_exit_code(self, files, data):
+        argv = data.draw(cli_argvs(*files))
+        previous = signal.signal(signal.SIGALRM, _on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            code = run(argv)
+        except _Deadline:
+            pytest.fail(f"{argv} ran past its 2 s deadline")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 1, 2), argv

@@ -26,7 +26,6 @@ from stabaut.codes import (
     enumerate_automorphisms,
     equals,
     find_inverse,
-    read_outputs,
     subwindow,
     verify_inverse_pair,
     window_chunks,
@@ -77,6 +76,41 @@ def seeded_code(seed, n, period, radius):
         rng.integers(0, n, n ** (2 * radius + 1)) for _ in range(period)))
 
 
+def all_points(n, length, sft=None):
+    """Every periodic point of `length` letters, or those admissible for `sft`."""
+    ends = None if sft is None else sft.edge_endpoints()
+    return [PeriodicPoint(b) for b in itertools.product(range(n), repeat=length)
+            if sft is None or all(ends[b[i - 1]][1] == ends[b[i]][0] for i in range(length))]
+
+
+def witness_length(period, radius, extra=0):
+    """The least multiple of `period` of at least 2 * radius + 1 + extra
+    letters: the points of that length show every window at every class
+    (on the golden mean shift, extra = 2 closes any admissible window)."""
+    return -(-(2 * radius + 1 + extra) // period) * period
+
+
+def same_map(f, g, points):
+    return all(apply_to_periodic(f, x) == apply_to_periodic(g, x) for x in points)
+
+
+def with_entry_changed(code, c, i):
+    tables = [np.array(t) for t in code.tables]
+    tables[c][i] = (tables[c][i] + 1) % code.n
+    return StabilizedCode(code.n, code.period, code.radius, tuple(tables))
+
+
+# the golden mean shift; edge letters 0: 0->0, 1: 0->1, 2: 1->0
+GOLDEN_MEAN = SftMatrix(((1, 1), (1, 0)))
+
+
+def golden_mean_windows(width, admissible):
+    ends = GOLDEN_MEAN.edge_endpoints()
+    return [i for i in range(3**width)
+            if admissible == all(ends[a][1] == ends[b][0]
+                                 for a, b in itertools.pairwise(index_to_block(3, width, i)))]
+
+
 @st.composite
 def periodic_points(draw, n):
     length = draw(st.integers(1, 6))
@@ -95,23 +129,6 @@ class TestSubwindow:
         want = power_alphabet_index(n, w, letters[lo: lo + w])
         assert subwindow(idx, n, width, lo, w) == want
         assert subwindow(np.array([idx], dtype=np.int64), n, width, lo, w)[0] == want
-
-
-class TestReadOutputs:
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_matches_letter_encoding(self, data):
-        (code,) = data.draw(random_codes())
-        first = data.draw(st.integers(-4, 4))
-        count = data.draw(st.integers(1, 4))
-        windows = [data.draw(st.lists(st.integers(0, code.n - 1), min_size=2 * code.radius + 1,
-                                      max_size=2 * code.radius + 1)) for _ in range(count)]
-        letters = [code.evaluate(first + i, win) for i, win in enumerate(windows)]
-        idx = (np.array([power_alphabet_index(code.n, len(win), win)], dtype=np.int64)
-               for win in windows)
-        out = read_outputs(code, idx, first)
-        assert out.dtype == np.int64
-        assert out[0] == power_alphabet_index(code.n, count, letters)
 
 
 class TestPowerExceeds:
@@ -236,6 +253,86 @@ class TestSmallChunks:
             assert apply_to_periodic(fg, x) == apply_to_periodic(f, apply_to_periodic(g, x))
             assert apply_to_periodic(refined, x) == apply_to_periodic(f, x)
 
+    def test_equals(self, small_chunk):
+        # radius 3 over 2 letters: 2^7 windows in chunks of 4 to 32
+        f = seeded_code(3, 2, 2, 1)
+        big = f.refine(4, 3)
+        points = all_points(2, witness_length(4, 3))
+        # the last code differs from f at the last window only: in the last chunk
+        cases = [big, seeded_code(5, 2, 1, 2), with_entry_changed(big, 1, 37),
+                 with_entry_changed(big, 3, big.tables[3].size - 1)]
+        assert [equals(f, g) for g in cases] == [True, False, False, False]
+        for g in cases:
+            assert equals(f, g) == equals(g, f) == same_map(f, g, points)
+
+    def test_equals_on_a_shift_of_finite_type(self, small_chunk):
+        f = seeded_code(6, 3, 2, 1)
+        big = f.refine(2, 2)
+        outside = with_entry_changed(big, 0, golden_mean_windows(5, False)[-1])
+        for i in golden_mean_windows(5, False)[::7]:
+            outside = with_entry_changed(outside, 1, i)
+        inside = with_entry_changed(outside, 1, golden_mean_windows(5, True)[-1])
+        points = all_points(3, witness_length(2, 2, extra=2), GOLDEN_MEAN)
+        for g, want in ((big, True), (outside, True), (inside, False)):
+            assert equals(f, g, GOLDEN_MEAN) == equals(g, f, GOLDEN_MEAN) == want
+            assert same_map(f, g, points) == want
+        assert not equals(f, outside) and not equals(f, inside)
+
+    @pytest.mark.parametrize("pattern", [(0,), (0, 1), (0, 0, 1), (0, 1, 0, 1), (0, 1, 2, 0)])
+    def test_commutes_with_shift_power(self, small_chunk, pattern):
+        pool = seeded_code(7, 2, 3, 1).tables
+        code = StabilizedCode(2, len(pattern), 1, tuple(pool[p] for p in pattern))
+        points = all_points(2, witness_length(code.period, 1))
+        got = []
+        for m in (1, 2, 3, 4, 6):
+            got.append(commutes_with_shift_power(code, m))
+            assert got[-1] == all(apply_to_periodic(code, x.shifted(m))
+                                  == apply_to_periodic(code, x).shifted(m) for x in points)
+        # the pool's tables differ, so commutation is invariance of the pattern
+        k = len(pattern)
+        assert got == [pattern == pattern[m % k:] + pattern[:m % k] for m in (1, 2, 3, 4, 6)]
+
+    def test_commutes_on_a_shift_of_finite_type(self, small_chunk):
+        base = seeded_code(8, 3, 1, 1)
+        other = base
+        for i in golden_mean_windows(3, False):
+            other = with_entry_changed(other, 0, i)
+        code = StabilizedCode(3, 2, 1, (base.tables[0], other.tables[0]))
+        points = all_points(3, witness_length(2, 1, extra=2), GOLDEN_MEAN)
+        assert all(apply_to_periodic(code, x.shifted(1)) == apply_to_periodic(code, x).shifted(1)
+                   for x in points)
+        assert commutes_with_shift_power(code, 1, GOLDEN_MEAN)
+        assert not commutes_with_shift_power(code, 1)
+
+    @pytest.mark.parametrize("n, period", [(2, 2), (3, 2), (2, 3)])
+    def test_find_inverse(self, small_chunk, n, period):
+        rng = random.Random(n * period)
+        perms = [Permutation(tuple(rng.sample(range(n), n))) for _ in range(period)]
+        code = compose(StabilizedCode.shift(n, 1), periodic_letter_permutation(n, perms).forward)
+        inv = find_inverse(code, 2)
+        assert inv.radius == 1
+        points = all_points(n, witness_length(period, 2))
+        for x in points:
+            assert apply_to_periodic(inv, apply_to_periodic(code, x)) == x
+            assert apply_to_periodic(code, apply_to_periodic(inv, x)) == x
+        # random codes of radius 1 merge two points of length 6: no inverse
+        for seed in range(3):
+            stuck = seeded_code(seed, n, period, 1)
+            assert len({apply_to_periodic(stuck, x) for x in all_points(n, 6)}) < n**6
+            assert find_inverse(stuck, 2) is None
+
+    def test_find_inverse_conflict_in_the_last_chunk(self, small_chunk, monkeypatch):
+        # the centre letter, but 0 at the all-ones window, the last one: its
+        # pin conflicts with a write of an earlier chunk
+        table = (np.arange(2**5) >> 2) & 1
+        table[-1] = 0
+        code = StabilizedCode(2, 1, 2, (table,))
+        assert apply_to_periodic(code, PeriodicPoint((1,))) == PeriodicPoint((0,))
+        verified = []
+        monkeypatch.setattr(stabaut.codes, "verify_inverse_pair", lambda *pair: verified.append(pair))
+        assert find_inverse(code, 0) is None
+        assert verified == []  # the walk saw the conflict: no candidate was built
+
     def test_structure_is_read_over_every_window(self, small_chunk):
         shift = shift_power(5, -2).forward
         block = symbol_permutation(2, 3, Permutation((3, 0, 1, 2, 7, 4, 5, 6))).forward
@@ -243,18 +340,25 @@ class TestSmallChunks:
         assert StabilizedCode(2, 3, 2, block.tables).block_map == (3, 0, 1, 2, 7, 4, 5, 6)
         # one entry changed where no probe looks: only the full pass sees it
         for code in (shift, block):
-            tables = [np.array(t) for t in code.tables]
-            size = tables[0].size
+            size = code.tables[0].size
             probed = set((np.arange(1, 9) * 2654435761 % size).tolist())
-            i = max(set(range(size)) - probed)
-            tables[0][i] = (tables[0][i] + 1) % code.n
-            changed = StabilizedCode(code.n, code.period, code.radius, tuple(tables))
+            changed = with_entry_changed(code, 0, max(set(range(size)) - probed))
             assert (changed.shift_by, changed.block_map) == (None, None)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestWalkMemory:
     """A walking kernel holds its output tables, the constructor's validated
-    copies of them, and a few chunk-sized temporaries."""
+    copies of them, and a few chunk-sized temporaries; a check that reads
+    tables in place holds only the temporaries."""
 
     @pytest.mark.parametrize("n, shapes", [
         (5, ((4, 2), (2, 2))),  # the benchmark's pair: 5^9 windows in chunks of 5^7
@@ -263,13 +367,25 @@ class TestWalkMemory:
     def test_compose(self, n, shapes):
         (kf, rf), (kg, rg) = shapes
         f, g = seeded_code(1, n, kf, rf), seeded_code(2, n, kg, rg)
-        tracemalloc.start()
-        try:
-            fg = compose(f, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        fg, peak = traced_peak(lambda: compose(f, g))
         assert peak < 2 * sum(t.nbytes for t in fg.tables) + 4 * WINDOW_CHUNK * 8
+
+    def test_find_inverse(self):
+        # no inverse up to radius 3: candidate tables of up to 5^7 entries,
+        # and 5^9 windows to walk at radius 3
+        code = seeded_code(1, 5, 1, 1)
+        inv, peak = traced_peak(lambda: find_inverse(code, 3))
+        assert inv is None
+        assert peak < 5**7 * 2 + 4 * WINDOW_CHUNK * 8
+
+    def test_equals(self):
+        # the benchmark's shape: 4 tables of 5^9 entries against radius 2
+        f = seeded_code(1, 5, 4, 2)
+        f_big = f.refine(4, 4)
+        for g in (f_big, with_entry_changed(f_big, 3, f_big.tables[3].size - 1)):
+            same, peak = traced_peak(lambda: equals(f, g))
+            assert same == (g is f_big)
+            assert peak < 4 * WINDOW_CHUNK * 8
 
 
 @st.composite
@@ -485,6 +601,20 @@ class TestRefineAndEquals:
         with pytest.raises(ValueError):
             SIGMA.refine(1, 0)
 
+    def test_equals_refuses_what_refine_refuses(self):
+        # the common shape, 2^13 classes of 2^13 windows, is past the budget
+        rng = np.random.default_rng(9)
+        f = StabilizedCode(2, 2**13, 0, tuple(rng.permuted([0, 1]) for _ in range(2**13)))
+        g = seeded_code(10, 2, 1, 6)
+        with pytest.raises(CodeSizeExceeded):
+            f.refine(2**13, 6)
+        for sft in (None, SftMatrix(((1, 1), (1, 1)))):
+            with pytest.raises(CodeSizeExceeded):
+                equals(f, g, sft)
+            with pytest.raises(CodeSizeExceeded):
+                equals(g, f, sft)
+        assert equals(f, f) and equals(g, g)
+
     def test_sft_restricted_equality(self):
         # on the golden-mean shift the word 11 never occurs, so codes
         # disagreeing only on windows containing 11 are equal there
@@ -582,6 +712,13 @@ class TestCommutesWithShiftPower:
     def test_flip_on_even_own_period(self):
         assert commutes_with_shift_power(FLIP_ON_EVEN, 2)
 
+    def test_huge_power_builds_no_refinement(self):
+        # refined to period lcm(2, m), the code would need 10^9 tables
+        start = time.perf_counter()
+        assert commutes_with_shift_power(FLIP_ON_EVEN, 10**9)
+        assert not commutes_with_shift_power(FLIP_ON_EVEN, 10**9 + 1)
+        assert time.perf_counter() - start < 0.1
+
     def test_own_period_always_commutes(self):
         for code in (FLIP, SIGMA, FLIP_ON_EVEN, compose(FLIP_ON_EVEN, SIGMA)):
             assert commutes_with_shift_power(code, code.period)
@@ -656,6 +793,15 @@ class TestEnumerate:
         with pytest.raises(BudgetExceeded, match=re.escape(f"{n}^(w*{k}) candidates")):
             enumerate_automorphisms(n, r, k, budget=budget)
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("r, k", [(10**9, 1), (0, 10**30), (9, 1), (0, 19)])
+    def test_one_letter_census_refuses_long_points(self, r, k):
+        # one candidate, but the prefilter would walk points of 2r + 1 or k letters
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="periodic points of"):
+            enumerate_automorphisms(1, r, k)
+        assert time.perf_counter() - start < 0.1
+        assert len(enumerate_automorphisms(1, 8, 1)) == len(enumerate_automorphisms(1, 0, 18)) == 1
 
     @pytest.mark.parametrize("n, r, k", [(2, -1, 1), (2, 1, 0), (0, 0, 1)])
     def test_bad_shape_rejected(self, n, r, k):
