@@ -250,13 +250,11 @@ class StabilizedCode:
 
     @classmethod
     def identity(cls, n: int) -> "StabilizedCode":
-        return cls(n, 1, 0, (np.arange(n, dtype=_table_dtype(n)),))
+        return cls.shift(n, 0)
 
     @classmethod
     def shift(cls, n: int, j: int) -> "StabilizedCode":
         """The j-th shift power: output at z copies the input at z + j."""
-        if j == 0:
-            return cls.identity(n)
         r = abs(j)
         _check_size(n, r, 1)
         return cls(n, 1, r, (_widen(np.arange(n, dtype=_table_dtype(n)), n, r + j, r - j),))
@@ -431,12 +429,13 @@ def commutes_with_shift_power(code: StabilizedCode, m: int, sft: SftMatrix | Non
                for c in range(k))
 
 
-def verify_inverse_pair(f: StabilizedCode, g: StabilizedCode, sft: SftMatrix | None = None) -> bool:
-    """True iff f and g are two-sided inverses as maps."""
+def verify_inverse_pair(f: StabilizedCode, g: StabilizedCode) -> bool:
+    """True iff f and g are two-sided inverses as maps.  The constructor owns
+    the identity check: it derives shift_by == 0 for a composite only after
+    comparing every window of every table with the centre letter."""
     if f.n != g.n:
         raise ValueError("alphabet mismatch")
-    ident = StabilizedCode.identity(f.n)
-    return equals(compose(f, g), ident, sft) and equals(compose(g, f), ident, sft)
+    return compose(f, g).shift_by == 0 and compose(g, f).shift_by == 0
 
 
 def apply_to_periodic(code: StabilizedCode, x: PeriodicPoint) -> PeriodicPoint:
@@ -453,12 +452,12 @@ def apply_to_periodic(code: StabilizedCode, x: PeriodicPoint) -> PeriodicPoint:
 class Automorphism:
     """A stabilized code together with a verified two-sided inverse.
 
-    Verification composes the pair both ways and compares against the
-    identity over every window; a pair that fails raises
-    VerificationFailed.  Callers may pass verify=False when the
-    pair was verified already (find_inverse returns only verified
-    inverses) or when the identity holds by construction and the
-    exhaustive check would not fit the table budget.
+    Verification composes the pair both ways, and the constructor of each
+    composite checks it against the identity over every window (shift_by
+    == 0); a pair that fails raises VerificationFailed.  Callers may pass
+    verify=False when the pair was verified already (find_inverse returns
+    only verified inverses) or when the identity holds by construction and
+    the exhaustive check would not fit the table budget.
     """
 
     forward: StabilizedCode

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import (
+    MAX_TABLE_ENTRIES,
     Automorphism,
+    CodeSizeExceeded,
     StabilizedCode,
     _check_size,
     _inflate_block_map,
@@ -23,7 +25,7 @@ from .codes import (
     window_chunks,
 )
 from .permlab import Permutation
-from .shifts import SftMatrix, VerificationFailed, lcm
+from .shifts import SftMatrix, VerificationFailed, _power_exceeds, lcm
 
 
 @dataclass(frozen=True)
@@ -178,6 +180,9 @@ def inflate(perm: SimpleGraphPerm, t: int) -> tuple[SimpleGraphPerm, InflateRepo
     if t < 1:
         raise ValueError("t must be >= 1")
     n, m = perm.n, perm.m
+    if _power_exceeds(n, m * t, MAX_TABLE_ENTRIES):
+        raise CodeSizeExceeded(f"{n}^{m * t} inflated blocks exceed the exact-check budget "
+                               f"of {MAX_TABLE_ENTRIES}")
     big = Permutation(tuple(_inflate_block_map(n, m, perm.perm.images, t).tolist()))
     cyc = big.cycle_type()
     trans = len(cyc) if all(c == 2 for c in cyc) and cyc else (0 if not cyc else None)

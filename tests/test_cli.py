@@ -1,12 +1,17 @@
 import json
+import os
+import pathlib
 import random
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stabaut
 from stabaut.cli import (
     FileFormatError,
     automorphism_from_dict,
@@ -170,6 +175,14 @@ class TestCommands:
     def test_enumerate(self, capsys):
         assert run(["enumerate", "2", "0", "1"]) == 0
         assert "count: 2" in capsys.readouterr().out
+
+    def test_module_entry_point(self):
+        src = pathlib.Path(stabaut.__file__).resolve().parents[1]
+        argv = [sys.executable, "-m", "stabaut.cli", "--json", "enumerate", "2", "1", "1"]
+        proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["count"] == 6
 
     def test_perm_order(self, capsys):
         assert run(["perm", "order", "(1 2)", "(1 2 3 4 5)"]) == 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import stabaut.codes
 from stabaut.codes import (
+    MAX_TABLE_ENTRIES,
     WINDOW_CHUNK,
     Automorphism,
     BudgetExceeded,
@@ -38,7 +39,14 @@ from stabaut.generators import (
     symbol_permutation,
 )
 from stabaut.permlab import Permutation
-from stabaut.shifts import PeriodicPoint, SftMatrix, index_to_block, lcm, power_alphabet_index
+from stabaut.shifts import (
+    PeriodicPoint,
+    SftMatrix,
+    VerificationFailed,
+    index_to_block,
+    lcm,
+    power_alphabet_index,
+)
 
 IDENT2 = StabilizedCode.identity(2)
 FLIP = flip(2).forward
@@ -520,6 +528,20 @@ class TestTableValidation:
             StabilizedCode(2, 2, 0, ([0, 1],))
 
 
+class TestIdentity:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_is_the_zeroth_shift(self, n):
+        for code in (StabilizedCode.identity(n), StabilizedCode.shift(n, 0)):
+            assert (code.period, code.radius, code.shift_by) == (1, 0, 0)
+            assert code.tables[0].dtype == np.int16
+            assert code.tables[0].tolist() == list(range(n))
+
+    def test_refused_before_allocating(self):
+        _, peak = traced_peak(lambda: pytest.raises(
+            CodeSizeExceeded, StabilizedCode.identity, MAX_TABLE_ENTRIES + 1))
+        assert peak < 2**20
+
+
 class TestEvaluate:
     def test_identity(self):
         for a in range(2):
@@ -755,6 +777,50 @@ class TestInversePairs:
         # x_z AND x_{z+1} is not invertible
         table = np.array([0, 0, 0, 1, 0, 0, 1, 1])
         assert find_inverse(StabilizedCode(2, 1, 1, (table,)), 3) is None
+
+    def test_shift_is_not_its_own_inverse(self):
+        # sigma^2 is structured but not the identity: shift_by is 2, not None
+        assert compose(SIGMA, SIGMA).shift_by == 2
+        assert not verify_inverse_pair(SIGMA, SIGMA)
+
+    @staticmethod
+    def dense_pair():
+        """A period-2 radius-1 automorphism over 3 letters that is neither a
+        shift nor a block map, nor is its inverse."""
+        perms = [Permutation((1, 2, 0)), Permutation((1, 0, 2))]
+        aut = aut_compose(shift_power(3, 1), periodic_letter_permutation(3, perms))
+        for code in (aut.forward, aut.inverse):
+            assert (code.shift_by, code.block_map, code.radius) == (None, None, 1)
+        return aut
+
+    def test_dense_pair_with_an_inverse_entry_the_last_window_reads(self, small_chunk):
+        aut = self.dense_pair()
+        assert verify_inverse_pair(aut.forward, aut.inverse)
+        # the last window of compose(f, g) reads g at its last window
+        last = aut.inverse.tables[1].size - 1
+        bad = with_entry_changed(aut.inverse, 1, last)
+        assert not verify_inverse_pair(aut.forward, bad)
+        assert not verify_inverse_pair(bad, aut.forward)
+        with pytest.raises(VerificationFailed):
+            Automorphism(aut.forward, bad)
+
+    def test_verification_builds_no_identity_and_calls_no_equals(self, monkeypatch):
+        aut = self.dense_pair()
+
+        def refuse(*args):
+            raise AssertionError("identity code or equals walk")
+
+        monkeypatch.setattr(stabaut.codes, "equals", refuse)
+        monkeypatch.setattr(StabilizedCode, "identity", refuse)
+        Automorphism(aut.forward, aut.inverse)
+        assert find_inverse(aut.forward, 1) is not None
+        assert len(enumerate_automorphisms(2, 1, 1)) == 6
+
+    def test_one_letter_pair(self):
+        f = StabilizedCode(1, 2, 1, (np.zeros(1, dtype=int),) * 2)
+        g = StabilizedCode(1, 1, 0, (np.zeros(1, dtype=int),))
+        assert verify_inverse_pair(f, g)
+        assert Automorphism(f, g).period == 2
 
 
 class TestEnumerate:

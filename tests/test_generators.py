@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,17 @@ class TestInflate:
         assert report.transposition_count == 2 * 3 - 2
         # the pair (2, 2) avoids both letters, hence is fixed
         assert big.perm(2 * 3 + 2) == 2 * 3 + 2
+
+    def test_refused_past_the_budget_before_allocating(self):
+        # 2^26 inflated blocks exceed MAX_TABLE_ENTRIES
+        tau = SimpleGraphPerm(2, 1, Permutation.transposition(2, 0, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CodeSizeExceeded):
+                inflate(tau, 26)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
     def test_identity_inflates_to_identity(self):
         ident = SimpleGraphPerm(2, 1, Permutation.identity(2))
