@@ -361,6 +361,8 @@ def code_power(code: StabilizedCode, m: int) -> StabilizedCode:
 
 
 def _admissible_window_indices(n: int, radius: int, sft: SftMatrix) -> np.ndarray:
+    if sft.edge_count != n:
+        raise ValueError(f"alphabet mismatch: {n} letters, {sft.edge_count} SFT edges")
     words = language_words(sft, 2 * radius + 1)
     return np.array([power_alphabet_index(n, 2 * radius + 1, w) for w in words], dtype=np.int64)
 
@@ -430,12 +432,12 @@ def commutes_with_shift_power(code: StabilizedCode, m: int, sft: SftMatrix | Non
 
 
 def verify_inverse_pair(f: StabilizedCode, g: StabilizedCode) -> bool:
-    """True iff f and g are two-sided inverses as maps.  The constructor owns
-    the identity check: it derives shift_by == 0 for a composite only after
-    comparing every window of every table with the centre letter."""
-    if f.n != g.n:
-        raise ValueError("alphabet mismatch")
-    return compose(f, g).shift_by == 0 and compose(g, f).shift_by == 0
+    """True iff f and g are two-sided inverses as maps.  Both commute with
+    sigma^L, L the lcm of the periods, so both are endomorphisms of the full
+    shift (A^L)^Z, where an injective endomorphism is onto (Hedlund 1969;
+    Lind-Marcus 1995, 8.1): f g = id, which the constructor of f g checks at
+    every window (shift_by == 0), makes g bijective, so g f = id too."""
+    return compose(f, g).shift_by == 0
 
 
 def apply_to_periodic(code: StabilizedCode, x: PeriodicPoint) -> PeriodicPoint:
@@ -452,12 +454,12 @@ def apply_to_periodic(code: StabilizedCode, x: PeriodicPoint) -> PeriodicPoint:
 class Automorphism:
     """A stabilized code together with a verified two-sided inverse.
 
-    Verification composes the pair both ways, and the constructor of each
-    composite checks it against the identity over every window (shift_by
-    == 0); a pair that fails raises VerificationFailed.  Callers may pass
-    verify=False when the pair was verified already (find_inverse returns
-    only verified inverses) or when the identity holds by construction and
-    the exhaustive check would not fit the table budget.
+    Verification checks forward after inverse = id at every window; the
+    other order follows, as an injective endomorphism of a full shift is
+    onto (Hedlund 1969; Lind-Marcus 1995, 8.1).  A failure raises
+    VerificationFailed.  Callers may pass verify=False when the pair was
+    proved already (by find_inverse's walk) or when the identity holds by
+    construction and the exhaustive check would not fit the table budget.
     """
 
     forward: StabilizedCode
@@ -526,17 +528,17 @@ def find_inverse(code: StabilizedCode, max_radius: int) -> StabilizedCode | None
     """Search for an inverse code of radius <= max_radius by constraint propagation.
 
     For an inverse g of radius s, g(f(x))_z = x_z pins the g-table entry
-    at every f-output window to its centre letter: one walk over the
-    windows of width 2(s + r) + 1 pins them chunk by chunk, and the first
-    conflict rules out radius s.  The budget bounds the windows walked, not
-    bytes held.  A consistent, fully verified candidate is returned,
-    otherwise None.
+    at every f-output window to its centre letter.  One walk over the k
+    classes' windows of width 2(s + r) + 1, the count the budget bounds,
+    pins them chunk by chunk, and a conflict rules out radius s.  No
+    conflict proves g f = id, so f is injective, hence onto (Hedlund 1969;
+    Lind-Marcus 1995, 8.1), and g is returned as its inverse; else None.
     """
     n, k, r = code.n, code.period, code.radius
     letters = np.arange(n, dtype=_table_dtype(n))
     for s in range(max_radius + 1):
         span = s + r
-        _check_size(n, span, 1)
+        _check_size(n, span, k)
         # g at class c reads f's outputs at c - s .., the i-th from slots i .. i + 2r
         reads = [[(code.tables[(c - s + i) % k], i, 2 * r + 1) for i in range(2 * s + 1)]
                  for c in range(k)]
@@ -544,9 +546,7 @@ def find_inverse(code: StabilizedCode, max_radius: int) -> StabilizedCode | None
         if all(_pin(table, ch.outputs(n, read), ch.take(letters, span, 1))
                for ch in window_chunks(n, 2 * span + 1) for table, read in zip(tables, reads)):
             # entries no window pins may hold any letter
-            cand = StabilizedCode(n, k, s, tuple(np.maximum(t, 0) for t in tables))
-            if verify_inverse_pair(code, cand):
-                return cand
+            return StabilizedCode(n, k, s, tuple(np.maximum(t, 0) for t in tables))
     return None
 
 
@@ -580,7 +580,7 @@ def enumerate_automorphisms(n: int, r: int, k: int, budget: int = 200_000) -> li
         code = StabilizedCode(n, k, r, tables)
         inv = find_inverse(code, 2 * r)
         if inv is not None:
-            # find_inverse returns only a verified inverse
+            # inv code = id by the walk; injective is onto (Hedlund 1969; Lind-Marcus 8.1)
             out.append(Automorphism(code, inv, verify=False))
     return out
 

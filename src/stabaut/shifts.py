@@ -245,6 +245,9 @@ _SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % d for d in range(2, m
 MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 # rho finds a prime factor p in about sqrt(p) steps: up to about 10^10
 RHO_STEPS = 1 << 18
+# the longest cofactor tried: room for a rho-sized factor and a prime below
+# MR_EXACT_BELOW (about 2^82), and RHO_STEPS steps take about 1 s at this size
+FACTOR_BITS = 128
 
 
 def _is_prime(m: int) -> bool:
@@ -291,7 +294,8 @@ def prime_exponents(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     Trial division by the primes below 1000, then Pollard rho on the rest,
     every factor proved prime by deterministic Miller-Rabin.  A cofactor
-    that cannot be settled exactly raises ValueError.
+    that cannot be settled exactly, or one longer than FACTOR_BITS, raises
+    ValueError.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -304,6 +308,9 @@ def prime_exponents(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()
+        if m.bit_length() > FACTOR_BITS:
+            raise ValueError(f"cannot factor a cofactor of {m.bit_length()} bits: "
+                             f"exact factoring stops at {FACTOR_BITS} bits")
         if m < 1000**2 or _is_prime(m):
             exps[m] += 1
         else:

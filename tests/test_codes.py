@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stabaut.codes
@@ -76,6 +76,20 @@ def random_codes(draw, count=1):
         codes.append(StabilizedCode(n, period, radius, tuple(
             rng.integers(0, n, n ** (2 * radius + 1)) for _ in range(period))))
     return codes
+
+
+@st.composite
+def invertible_codes(draw):
+    """A shift power after a letter permutation per class and, over 2 letters
+    with period 2, a block permutation after both: inverse radius <= 2."""
+    n, k = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    perms = [Permutation(tuple(draw(st.permutations(range(n))))) for _ in range(k)]
+    code = compose(StabilizedCode.shift(n, draw(st.integers(-1, 1))),
+                   periodic_letter_permutation(n, perms).forward)
+    if (n, k) == (2, 2):
+        images = tuple(draw(st.permutations(range(4))))
+        code = compose(StabilizedCode.from_block_permutation(2, 2, images), code)
+    return code
 
 
 def seeded_code(seed, n, period, radius):
@@ -329,17 +343,26 @@ class TestSmallChunks:
             assert len({apply_to_periodic(stuck, x) for x in all_points(n, 6)}) < n**6
             assert find_inverse(stuck, 2) is None
 
-    def test_find_inverse_conflict_in_the_last_chunk(self, small_chunk, monkeypatch):
+    def test_find_inverse_conflict_in_the_last_chunk(self, small_chunk):
         # the centre letter, but 0 at the all-ones window, the last one: its
-        # pin conflicts with a write of an earlier chunk
+        # pin conflicts with a write of an earlier chunk.  No verification
+        # follows the walk, so a walk that missed it would return a candidate
         table = (np.arange(2**5) >> 2) & 1
         table[-1] = 0
         code = StabilizedCode(2, 1, 2, (table,))
         assert apply_to_periodic(code, PeriodicPoint((1,))) == PeriodicPoint((0,))
-        verified = []
-        monkeypatch.setattr(stabaut.codes, "verify_inverse_pair", lambda *pair: verified.append(pair))
         assert find_inverse(code, 0) is None
-        assert verified == []  # the walk saw the conflict: no candidate was built
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(invertible_codes())
+    def test_find_inverse_of_an_invertible_code(self, small_chunk, code):
+        inv = find_inverse(code, 2)
+        assert compose(inv, code).shift_by == 0 and compose(code, inv).shift_by == 0
+        # sending the letter 1 to 0 merges points: no inverse at any radius
+        merge = np.arange(code.n)
+        merge[1] = 0
+        assert find_inverse(compose(StabilizedCode(code.n, 1, 0, (merge,)), code), 2) is None
 
     def test_structure_is_read_over_every_window(self, small_chunk):
         shift = shift_power(5, -2).forward
@@ -662,6 +685,18 @@ class TestRefineAndEquals:
         assert not equals(ca, cb)
         assert equals(ca, cb, sft=gm)
 
+    def test_sft_alphabet_must_be_the_code_alphabet(self):
+        # over 3 letters f and g differ only at the letter 2, which no edge
+        # of the 2-shift names
+        f = StabilizedCode(3, 1, 0, (np.array([0, 1, 2]),))
+        g = StabilizedCode(3, 1, 0, (np.array([0, 1, 0]),))
+        code = StabilizedCode(3, 2, 0, f.tables + g.tables)
+        assert not equals(f, g) and not commutes_with_shift_power(code, 1)
+        with pytest.raises(ValueError, match="alphabet mismatch: 3 letters, 2 SFT edges"):
+            equals(f, g, SftMatrix.full_shift(2))
+        with pytest.raises(ValueError, match="alphabet mismatch: 3 letters, 2 SFT edges"):
+            commutes_with_shift_power(code, 1, SftMatrix.full_shift(2))
+
 
 class TestCompose:
     def test_flip_involution(self):
@@ -815,6 +850,45 @@ class TestInversePairs:
         Automorphism(aut.forward, aut.inverse)
         assert find_inverse(aut.forward, 1) is not None
         assert len(enumerate_automorphisms(2, 1, 1)) == 6
+
+    def test_one_composition_per_verification_and_none_per_search(self, monkeypatch):
+        aut = self.dense_pair()
+        calls = []
+        monkeypatch.setattr(stabaut.codes, "compose",
+                            lambda f, g: calls.append((f, g)) or compose(f, g))
+        assert verify_inverse_pair(aut.forward, aut.inverse)
+        assert calls == [(aut.forward, aut.inverse)]
+        calls.clear()
+        assert find_inverse(aut.forward, 1) is not None
+        assert calls == []
+
+    def test_census_near_misses_fail_both_ways(self):
+        # f g = id decides g f = id: every inverse of census (2, 1, 2) with one
+        # entry changed fails both ways, and the true inverse passes both
+        misses = 0
+        for aut in enumerate_automorphisms(2, 1, 2):
+            f, g = aut.forward, aut.inverse
+            assert compose(f, g).shift_by == compose(g, f).shift_by == 0
+            for c, table in enumerate(g.tables):
+                for i in range(table.size):
+                    bad = with_entry_changed(g, c, i)
+                    assert compose(f, bad).shift_by != 0 and compose(bad, f).shift_by != 0
+                    misses += 1
+        assert misses == 2448
+
+    def test_find_inverse_refuses_before_walking(self, monkeypatch):
+        # period 4: the inverse needs radius 1, whose walk covers 4 classes of
+        # 2^5 windows, past a budget of 100 that one class would fit
+        perms = [Permutation((1, 0))] + [Permutation((0, 1))] * 3
+        code = compose(SIGMA, periodic_letter_permutation(2, perms).forward)
+        walked = []
+        chunks = stabaut.codes.window_chunks
+        monkeypatch.setattr(stabaut.codes, "window_chunks",
+                            lambda n, width: walked.append(width) or chunks(n, width))
+        monkeypatch.setattr(stabaut.codes, "MAX_TABLE_ENTRIES", 100)
+        with pytest.raises(CodeSizeExceeded, match=r"4 tables of 2\^5 entries"):
+            find_inverse(code, 1)
+        assert walked == [3]  # radius 0 walked and ruled out; radius 1 refused first
 
     def test_one_letter_pair(self):
         f = StabilizedCode(1, 2, 1, (np.zeros(1, dtype=int),) * 2)

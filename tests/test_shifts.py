@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stabaut.shifts import (
+    FACTOR_BITS,
     PeriodicPoint,
     SftMatrix,
     _mobius,
@@ -227,6 +228,16 @@ class TestFactorizer:
     @given(st.integers(2, 10**6))
     def test_matches_trial_division(self, n):
         assert prime_exponents(n) == trial_division_exponents(n)
+
+    def test_cofactor_past_the_bit_bound_is_refused_at_once(self):
+        # rho and Miller-Rabin would take seconds on 3824 bits
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"stops at {FACTOR_BITS} bits"):
+            prime_exponents(3**5 * (2**3217 - 1) * (2**607 - 1))
+        assert time.perf_counter() - start < 0.1
+        n = 1009 * 1000003 * 998244353 * (2**61 - 1)
+        assert n.bit_length() <= FACTOR_BITS
+        assert prime_exponents(n) == ((1009, 1000003, 998244353, 2**61 - 1), (1, 1, 1, 1))
 
     def test_unsettled_cofactor_raises(self):
         # 2^89 - 1 is prime but above the exact Miller-Rabin bound
