@@ -24,7 +24,7 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from .invariants import distinguish_classical, distinguish_stabilized, omega, roots_set
+from .invariants import distinguish_classical, distinguish_stabilized
 from .shifts import VerificationFailed, _power_exceeds, count_least_period_orbits
 
 if TYPE_CHECKING:
@@ -220,18 +220,21 @@ def _parse_cycles(text: str) -> list[tuple[int, ...]]:
 def _cmd_invariants(args) -> tuple[int, dict]:
     stab = distinguish_stabilized(args.m, args.n)
     classical = distinguish_classical(args.m, args.n)
+    # the verdicts carry the omega counts and root sets the report prints
+    rts = classical.detail
+    roots_m, roots_n = (rts["rts"], rts["rts"]) if "rts" in rts else (rts["rts_m"], rts["rts_n"])
     report = {
         "m": args.m,
         "n": args.n,
-        "stabilized": f"{stab.outcome} (omega {omega(args.m)} vs {omega(args.n)})"
+        "stabilized": f"{stab.outcome} (omega {stab.detail['omega_m']} vs {stab.detail['omega_n']})"
         if stab.criterion == "prime-divisor-count"
         else stab.outcome,
         "stabilized_criterion": stab.criterion,
         "stabilized_detail": stab.detail,
         "classical": classical.outcome,
         "classical_criterion": classical.criterion,
-        "roots_m": sorted(roots_set(args.m)),
-        "roots_n": sorted(roots_set(args.n)),
+        "roots_m": roots_m,
+        "roots_n": roots_n,
     }
     return 0, report
 

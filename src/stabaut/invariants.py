@@ -31,10 +31,23 @@ def _integer_root(a: int, k: int) -> int | None:
 
 
 def roots_set(a: int) -> frozenset[int]:
-    """{k : a^(1/k) is an integer}; always contains 1."""
+    """{k : a^(1/k) is an integer}; always contains 1.
+
+    With a = b^g, b no perfect power, the set is the divisors of g.  Roots
+    are taken from a shrinking base, each k as often as it divides: a k
+    that succeeds is prime, since every smaller exponent is gone, and no
+    base of at least 2 has an exponent past its bit length.
+    """
     if a < 2:
         raise ValueError("need a >= 2")
-    return frozenset(k for k in range(1, a.bit_length() + 1) if _integer_root(a, k) is not None)
+    g, k = 1, 2
+    while k <= a.bit_length():
+        root = _integer_root(a, k)
+        if root is None:
+            k += 1
+        else:
+            a, g = root, g * k
+    return frozenset(d for d in range(1, g + 1) if g % d == 0)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .codes import (
     StabilizedCode,
     _check_size,
     _table_dtype,
-    _verification_fits,
     window_chunks,
 )
 from .shifts import PeriodicPoint, SftMatrix, Word
@@ -314,10 +313,9 @@ def _stretch_case(data: list[np.ndarray], r: int) -> np.ndarray:
 def embed_automorphism(phi: Automorphism, scheme: MarkerScheme) -> Automorphism:
     """Embedded automorphism: forward and inverse codes embedded separately.
 
-    The pair is exhaustively verified whenever the table budget allows
-    (always true at generator-level radii); for larger composites the
-    inverse identity is inherited from the source pair.
+    The pair is verified at every window.  A check past the table budget
+    raises CodeSizeExceeded before any composite table is allocated, and a
+    source the embedding cannot carry (one that does not commute with the
+    square of the shift) raises VerificationFailed.
     """
-    fwd = embed_code(phi.forward, scheme)
-    inv = embed_code(phi.inverse, scheme)
-    return Automorphism(fwd, inv, verify=_verification_fits(fwd, inv))
+    return Automorphism(embed_code(phi.forward, scheme), embed_code(phi.inverse, scheme))

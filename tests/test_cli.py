@@ -325,6 +325,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "exceed the exact-check budget" in err and "Traceback" not in err
 
+    def test_embedding_whose_check_passes_the_budget_writes_no_file(self, tmp_path, capsys):
+        # sigma at gap 3 embeds at radius 3, so its check would compose to
+        # 3 tables of 5^13 entries: refused, not trusted and written unloadable
+        path, out = tmp_path / "sigma.json", tmp_path / "o.json"
+        save_automorphism(shift_power(2, 1), str(path))
+        assert run(["embed", str(path), "--target", "5", "--gap", "3", "--out", str(out)]) == 1
+        assert "3 tables of 5^13 entries exceed the exact-check budget" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", [
         lambda data: {**data, "target_q": "7"},
         lambda data: {key: v for key, v in data.items() if key != "gap"},
@@ -508,6 +517,9 @@ class TestFuzz:
     @given(st.data())
     def test_run_returns_an_exit_code(self, files, data):
         argv = data.draw(cli_argvs(*files))
+        out = files[1]
+        if os.path.exists(out):
+            os.remove(out)
         previous = signal.signal(signal.SIGALRM, _on_alarm)
         signal.setitimer(signal.ITIMER_REAL, 2.0)
         try:
@@ -518,3 +530,6 @@ class TestFuzz:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert code in (0, 1, 2), argv
+        if code == 0 and "--out" in argv:
+            # a file the CLI writes, the CLI reads
+            load_automorphism(out)

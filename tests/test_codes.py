@@ -20,6 +20,7 @@ from stabaut.codes import (
     _bijective_on_periodics,
     _power_exceeds,
     apply_to_periodic,
+    aut_commutator,
     aut_compose,
     aut_equals,
     commutes_with_shift_power,
@@ -1020,6 +1021,29 @@ class TestGroupAxioms:
         ab = aut_compose(a, b)
         assert equals(ab.inverse, compose(b.inverse, a.inverse))
         assert verify_inverse_pair(ab.forward, ab.inverse)
+
+    CENSUS = enumerate_automorphisms(2, 1, 1) + enumerate_automorphisms(2, 0, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CENSUS), st.sampled_from(CENSUS))
+    def test_composites_of_proved_pairs_are_inverse_pairs(self, a, b):
+        # aut_compose and aut_commutator build their pairs unchecked: the
+        # identity they rely on is checked here
+        for c in (aut_compose(a, b), aut_commutator(a, b)):
+            assert verify_inverse_pair(c.forward, c.inverse)
+
+    def test_composites_are_not_verified_again(self, monkeypatch):
+        # one composition per code: the forward and inverse of a b, and the
+        # three of each side of a b a^-1 b^-1; no identity check on top
+        a, b = TestInversePairs.dense_pair(), flip_on_even(3)
+        calls = []
+        monkeypatch.setattr(stabaut.codes, "compose",
+                            lambda f, g: calls.append((f, g)) or compose(f, g))
+        aut_compose(a, b)
+        assert len(calls) == 2
+        calls.clear()
+        aut_commutator(a, b)
+        assert len(calls) == 6
 
 
 class TestCenterWitness:

@@ -49,6 +49,20 @@ class TestRootsSet:
         # 10**400 overflows a float; its roots are the divisors of 400
         assert roots_set(10**400) == frozenset(k for k in range(1, 401) if 400 % k == 0)
 
+    def test_large_power_takes_a_root_per_prime_factor(self, monkeypatch):
+        # 14000 = 2^4 5^3 7: 8 roots taken and 5 failed tries (k = 2, 3, 4, 5, 6),
+        # not one Newton root per k up to the bit length
+        calls = []
+
+        def counting_root(a, k):
+            calls.append(k)
+            assert len(calls) <= 50, "one integer root per k up to the bit length"
+            return _integer_root(a, k)
+
+        monkeypatch.setattr("stabaut.invariants._integer_root", counting_root)
+        assert roots_set(2**14000) == frozenset(k for k in range(1, 14001) if 14000 % k == 0)
+        assert len(calls) == 13
+
     @given(st.integers(1, 10**80), st.integers(2, 40))
     def test_integer_root_exact(self, x, k):
         assert _integer_root(x**k, k) == x

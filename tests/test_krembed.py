@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from stabaut.codes import (
     WINDOW_CHUNK,
+    CodeSizeExceeded,
     StabilizedCode,
     apply_to_periodic,
     aut_compose,
@@ -18,7 +19,13 @@ from stabaut.codes import (
     verify_inverse_pair,
 )
 from stabaut.dimrep import dimension_multiplier
-from stabaut.generators import flip, flip_on_even, letter_permutation, shift_power
+from stabaut.generators import (
+    flip,
+    flip_on_even,
+    letter_permutation,
+    periodic_letter_permutation,
+    shift_power,
+)
 from stabaut.krembed import (
     ContextExhausted,
     FeasibilityUnverified,
@@ -31,10 +38,17 @@ from stabaut.krembed import (
     read_at,
 )
 from stabaut.permlab import Permutation
-from stabaut.shifts import PeriodicPoint, SftMatrix, language_words, lcm
+from stabaut.shifts import PeriodicPoint, SftMatrix, VerificationFailed, language_words, lcm
 
 SCHEME = find_marker_scheme(5, 2, 2)
 NON_DATA = 4
+
+
+def period_three(j):
+    """sigma^j after a letter swap at one class in three: a source that does
+    not commute with sigma^2, so its embedding is no homomorphism."""
+    swap, keep = Permutation((1, 0)), Permutation((0, 1))
+    return aut_compose(shift_power(2, j), periodic_letter_permutation(2, [swap, keep, keep]))
 
 
 def embed_oracle(code, scheme, x):
@@ -394,6 +408,20 @@ class TestEmbedAutomorphism:
         for aut in (flip(2), shift_power(2, 1), flip_on_even(2)):
             e = embed_automorphism(aut, SCHEME)
             assert dimension_multiplier(e).is_zero()
+
+    def test_source_the_embedding_cannot_carry_fails_verification(self):
+        with pytest.raises(VerificationFailed):
+            embed_automorphism(period_three(1), SCHEME)
+
+    @pytest.mark.parametrize("aut, gap, refused", [
+        (period_three(2), 2, r"6 tables of 5\^17 entries"),
+        (shift_power(2, 1), 3, r"3 tables of 5\^13 entries"),
+    ], ids=["period-three", "sigma"])
+    def test_pair_whose_check_passes_the_budget_is_refused(self, aut, gap, refused):
+        # never trusted for its size: the period-three pair is wrong, and
+        # sigma's pair could not be loaded back
+        with pytest.raises(CodeSizeExceeded, match=refused):
+            embed_automorphism(aut, find_marker_scheme(5, 2, gap))
 
 
 class TestRoundTrip:
