@@ -72,8 +72,9 @@ def window_count(n: int, radius: int) -> int:
 
 def _check_size(n: int, radius: int, period: int) -> None:
     """Refuse `period` tables of n^(2r+1) entries past the budget.  A check
-    that reads tables in place calls it with the shape it walks, so there
-    the budget bounds windows walked, not bytes held."""
+    that reads tables in place (equals, find_inverse, the dense path of
+    verify_inverse_pair) calls it with the shape it walks, so there the
+    budget bounds windows walked, not bytes held."""
     width = 2 * radius + 1
     if _power_exceeds(n, width, MAX_TABLE_ENTRIES, period):
         raise CodeSizeExceeded(
@@ -304,6 +305,38 @@ class StabilizedCode:
         return f"StabilizedCode(n={self.n}, period={self.period}, radius={self.radius})"
 
 
+def _structured(f: StabilizedCode, g: StabilizedCode) -> bool:
+    """Whether compose(f, g) takes a structured path: two shifts, or
+    blockwise codes of one period whose block form is no wider than the
+    dense result."""
+    if f.n != g.n:
+        raise ValueError("alphabet mismatch")
+    return (f.shift_by is not None and g.shift_by is not None) or (
+        f.block_map is not None and g.block_map is not None
+        and f.period == g.period and f.radius + g.radius >= f.period - 1)
+
+
+def _compose_walk(f: StabilizedCode, g: StabilizedCode):
+    """The dense f g's period lcm(k_f, k_g), its radius r_f + r_g, and a
+    generator of (chunk, class c, f(g(x)) at class c over the chunk) for
+    every chunk of its windows and every class.  The budget is checked
+    before anything is allocated."""
+    n, period, radius = f.n, lcm(f.period, g.period), f.radius + g.radius
+    _check_size(n, radius, period)
+    # f at class c reads g's outputs at c - r_f .., the i-th from slots i ..
+    # i + 2r_g, and those depend on c mod k_g alone
+    reads = [[(g.tables[(rho - f.radius + i) % g.period], i, 2 * g.radius + 1)
+              for i in range(2 * f.radius + 1)] for rho in range(g.period)]
+
+    def walk():
+        for ch in window_chunks(n, 2 * radius + 1):
+            for rho in range(g.period):
+                outer = ch.outputs(n, reads[rho])
+                for c in range(rho, period, g.period):
+                    yield ch, c, f.tables[c % f.period][outer]
+    return period, radius, walk()
+
+
 def compose(f: StabilizedCode, g: StabilizedCode) -> StabilizedCode:
     """The code computing f(g(x)).
 
@@ -311,35 +344,17 @@ def compose(f: StabilizedCode, g: StabilizedCode) -> StabilizedCode:
     compose by permutation composition; otherwise the result has period
     lcm(k_f, k_g) and radius r_f + r_g.
     """
-    if f.n != g.n:
-        raise ValueError("alphabet mismatch")
     n = f.n
-    if f.shift_by is not None and g.shift_by is not None:
-        return StabilizedCode.shift(n, f.shift_by + g.shift_by)
-    if (
-        f.block_map is not None
-        and g.block_map is not None
-        and f.period == g.period
-        and f.radius + g.radius >= f.period - 1
-    ):
-        # both act blockwise on aligned period-length blocks: compose the
-        # block permutations at radius period-1, no wider than the dense
-        # result.
+    if _structured(f, g):
+        if f.shift_by is not None and g.shift_by is not None:
+            return StabilizedCode.shift(n, f.shift_by + g.shift_by)
+        # compose the block permutations at radius period-1
         images = tuple(f.block_map[b] for b in g.block_map)
         return StabilizedCode.from_block_permutation(n, f.period, images)
-    period = lcm(f.period, g.period)
-    radius = f.radius + g.radius
-    _check_size(n, radius, period)
+    period, radius, walk = _compose_walk(f, g)
     tables = [np.empty(window_count(n, radius), dtype=_table_dtype(n)) for _ in range(period)]
-    # f at class c reads g's outputs at c - r_f .., the i-th from slots i ..
-    # i + 2r_g, and those depend on c mod k_g alone
-    reads = [[(g.tables[(rho - f.radius + i) % g.period], i, 2 * g.radius + 1)
-              for i in range(2 * f.radius + 1)] for rho in range(g.period)]
-    for ch in window_chunks(n, 2 * radius + 1):
-        for rho in range(g.period):
-            outer = ch.outputs(n, reads[rho])
-            for c in range(rho, period, g.period):
-                ch.take(tables[c])[...] = f.tables[c % f.period][outer]
+    for ch, c, values in walk:
+        ch.take(tables[c])[...] = values
     return StabilizedCode(n, period, radius, tuple(tables))
 
 
@@ -435,9 +450,16 @@ def verify_inverse_pair(f: StabilizedCode, g: StabilizedCode) -> bool:
     """True iff f and g are two-sided inverses as maps.  Both commute with
     sigma^L, L the lcm of the periods, so both are endomorphisms of the full
     shift (A^L)^Z, where an injective endomorphism is onto (Hedlund 1969;
-    Lind-Marcus 1995, 8.1): f g = id, which the constructor of f g checks at
-    every window (shift_by == 0), makes g bijective, so g f = id too."""
-    return compose(f, g).shift_by == 0
+    Lind-Marcus 1995, 8.1): f g = id makes g bijective, so g f = id too.
+    f g = id is checked at every window: structured pairs by the shift_by
+    of their composite, dense ones on compose's walk, against the centre
+    letter, with no composite built, so there the budget bounds windows
+    walked, not bytes held."""
+    if _structured(f, g):
+        return compose(f, g).shift_by == 0
+    _, radius, walk = _compose_walk(f, g)
+    letters = np.arange(f.n, dtype=_table_dtype(f.n))
+    return all((values == ch.take(letters, radius, 1)).all() for ch, _, values in walk)
 
 
 def apply_to_periodic(code: StabilizedCode, x: PeriodicPoint) -> PeriodicPoint:

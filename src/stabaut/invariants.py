@@ -67,14 +67,13 @@ class Verdict:
             raise ValueError("bad outcome")
 
 
-def _common_power_certificate(m: int, n: int) -> tuple[int, int] | None:
-    """(j, k) with m^j == n^k, when the exponent vectors are parallel."""
-    pm, em = prime_exponents(m)
-    pn, en = prime_exponents(n)
+def _common_power_certificate(m: int, n: int, fm, fn) -> tuple[int, int] | None:
+    """(j, k) with m^j == n^k, when the exponent vectors of m and n, read
+    off their factorizations fm and fn, are parallel."""
+    (pm, em), (pn, en) = fm, fn
     if pm != pn:
         return None
-    gm = gcd(*em) if len(em) > 1 else em[0]
-    gn = gcd(*en) if len(en) > 1 else en[0]
+    gm, gn = gcd(*em), gcd(*en)
     if tuple(e // gm for e in em) != tuple(e // gn for e in en):
         return None
     g = gcd(gm, gn)
@@ -88,18 +87,20 @@ def distinguish_stabilized(m: int, n: int) -> Verdict:
 
     Different prime-divisor counts force non-isomorphic abelianizations;
     a common power m^j = n^k makes the shifts rationally conjugate and
-    the groups isomorphic; anything else is left open.
+    the groups isomorphic; anything else is left open.  Each number is
+    factored once, for both criteria.
     """
     if m < 2 or n < 2:
         raise ValueError("need m, n >= 2")
-    om, on = omega(m), omega(n)
+    fm, fn = prime_exponents(m), prime_exponents(n)
+    om, on = len(fm[0]), len(fn[0])
     if om != on:
         return Verdict(
             "distinguishable",
             "prime-divisor-count",
             {"omega_m": om, "omega_n": on},
         )
-    cert = _common_power_certificate(m, n)
+    cert = _common_power_certificate(m, n, fm, fn)
     if cert is not None:
         j, k = cert
         return Verdict(

@@ -314,7 +314,7 @@ def embed_automorphism(phi: Automorphism, scheme: MarkerScheme) -> Automorphism:
     """Embedded automorphism: forward and inverse codes embedded separately.
 
     The pair is verified at every window.  A check past the table budget
-    raises CodeSizeExceeded before any composite table is allocated, and a
+    raises CodeSizeExceeded before any window is walked, and a
     source the embedding cannot carry (one that does not commute with the
     square of the shift) raises VerificationFailed.
     """

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 Word = tuple[int, ...]
 
@@ -131,14 +130,6 @@ def _power_exceeds(n: int, e: int, budget: int, factor: int = 1) -> bool:
     n > 1, an exponent whose 2^e alone passes the budget is decided by bit
     length, before the power is computed."""
     return n > 1 and e > budget.bit_length() or factor * n**e > budget
-
-
-@lru_cache(maxsize=None)
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    primes, exps = prime_exponents(n)
-    return 0 if max(exps) > 1 else (-1) ** len(primes)
 
 
 def count_least_period_orbits(n: int, p: int) -> int:

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import stabaut.codes
@@ -418,6 +418,19 @@ class TestWalkMemory:
             same, peak = traced_peak(lambda: equals(f, g))
             assert same == (g is f_big)
             assert peak < 4 * WINDOW_CHUNK * 8
+
+    def test_verify_inverse_pair(self):
+        # period 4 and radius 2 each way over 5 letters: the composite would
+        # be 4 tables of 5^9 entries, and the walk holds no table of them
+        perms = [[Permutation(tuple(random.Random(4 * i + c).sample(range(5), 5)))
+                  for c in range(4)] for i in range(2)]
+        a, b = (aut_compose(shift_power(5, 1), periodic_letter_permutation(5, p)) for p in perms)
+        aut = aut_compose(a, b)
+        for code in (aut.forward, aut.inverse):
+            assert (code.period, code.radius, code.shift_by, code.block_map) == (4, 2, None, None)
+        ok, peak = traced_peak(lambda: verify_inverse_pair(aut.forward, aut.inverse))
+        assert ok
+        assert peak < 8 * WINDOW_CHUNK * 8
 
 
 @st.composite
@@ -852,16 +865,41 @@ class TestInversePairs:
         assert find_inverse(aut.forward, 1) is not None
         assert len(enumerate_automorphisms(2, 1, 1)) == 6
 
-    def test_one_composition_per_verification_and_none_per_search(self, monkeypatch):
+    def test_at_most_one_composition_per_verification_and_none_per_search(self, monkeypatch):
+        # one exhaustive check per pair and no second one: a dense pair is
+        # checked on compose's walk with no composite, a structured pair by
+        # its one structured composite, and find_inverse's walk is its proof
         aut = self.dense_pair()
-        calls = []
+        composed, walked = [], []
+        walk = stabaut.codes._compose_walk
         monkeypatch.setattr(stabaut.codes, "compose",
-                            lambda f, g: calls.append((f, g)) or compose(f, g))
+                            lambda f, g: composed.append((f, g)) or compose(f, g))
+        monkeypatch.setattr(stabaut.codes, "_compose_walk",
+                            lambda f, g: walked.append((f, g)) or walk(f, g))
         assert verify_inverse_pair(aut.forward, aut.inverse)
-        assert calls == [(aut.forward, aut.inverse)]
-        calls.clear()
+        assert (composed, walked) == ([], [(aut.forward, aut.inverse)])
+        blocks = symbol_permutation(2, 2, Permutation((1, 2, 3, 0)))
+        for f, g in ((SIGMA, SIGMA_INV), (blocks.forward, blocks.inverse)):
+            del composed[:], walked[:]
+            assert verify_inverse_pair(f, g)
+            assert (composed, walked) == ([(f, g)], [])
+        del composed[:], walked[:]
         assert find_inverse(aut.forward, 1) is not None
-        assert calls == []
+        assert (composed, walked) == ([], [])
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(invertible_codes(), st.data())
+    def test_walk_agrees_with_the_composite(self, small_chunk, code, data):
+        # the composite's shift_by == 0 is the oracle, on dense pairs and on
+        # those pairs with one inverse entry changed, in both orders
+        inv = find_inverse(code, 2)
+        assume(all(h.shift_by is None and h.block_map is None for h in (code, inv)))
+        c = data.draw(st.integers(0, inv.period - 1))
+        bad = with_entry_changed(inv, c, data.draw(st.integers(0, inv.tables[c].size - 1)))
+        for f, g in ((code, inv), (inv, code), (code, bad), (bad, code)):
+            assert verify_inverse_pair(f, g) == (compose(f, g).shift_by == 0)
+        assert verify_inverse_pair(code, inv) and not verify_inverse_pair(code, bad)
 
     def test_census_near_misses_fail_both_ways(self):
         # f g = id decides g f = id: every inverse of census (2, 1, 2) with one

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stabaut.invariants
+import stabaut.shifts
 from stabaut.dimrep import stabilized_dim_group
 from stabaut.invariants import (
     Verdict,
@@ -96,6 +98,18 @@ class TestDistinguishStabilized:
         verdict = distinguish_stabilized(m, n)
         if verdict.outcome == "isomorphic":
             assert m ** verdict.detail["j"] == n ** verdict.detail["k"]
+
+    def test_each_number_factored_once(self, monkeypatch):
+        # nextprime(2^34) nextprime(2^35) against nextprime(2^33) nextprime(2^36):
+        # equal omega counts, so both criteria read the two factorizations
+        calls = []
+        factor = stabaut.shifts.prime_exponents
+        for module in (stabaut.shifts, stabaut.invariants):  # prime_factors calls it too
+            monkeypatch.setattr(module, "prime_exponents", lambda n: calls.append(n) or factor(n))
+        m, n = (2**34 + 25) * (2**35 + 53), (2**33 + 17) * (2**36 + 31)
+        verdict = distinguish_stabilized(m, n)
+        assert (verdict.outcome, verdict.detail) == ("inconclusive", {"omega": 2})
+        assert calls == [m, n]
 
     def test_bad_outcome_rejected(self):
         with pytest.raises(ValueError):
