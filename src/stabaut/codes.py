@@ -21,8 +21,7 @@ covers: a sub-window is a reshape, and a table read of it is one
 contiguous table slice broadcast over the chunk (WindowChunk.take), with
 no division and no per-window gather.  Chunks keep peak RSS bounded at
 any radius.  Index arrays that are not a window walk (the structure
-probes, block images, the census prefilter, the admissible windows of a
-shift of finite type) are read through
+probes, block images, the census prefilter) are read through
 
     subwindow(idx, n, width, lo, w) = (idx // n^(width-lo-w)) % n^w
 
@@ -43,7 +42,6 @@ from .shifts import (
     VerificationFailed,
     _power_exceeds,
     index_to_block,
-    language_words,
     lcm,
     power_alphabet_index,
 )
@@ -375,11 +373,21 @@ def code_power(code: StabilizedCode, m: int) -> StabilizedCode:
     return out
 
 
-def _admissible_window_indices(n: int, radius: int, sft: SftMatrix) -> np.ndarray:
+def _on_sft(n: int, sft: SftMatrix | None):
+    """f(chunk, flags): a walk's per-window flags OR'ed with "not a path of
+    `sft`", a path being a window with ok[e_i n + e_(i+1)] (e_i ends where
+    e_(i+1) starts) at each i; without `sft`, the flags as they are, free."""
+    if sft is None:
+        return lambda ch, flags: flags
     if sft.edge_count != n:
         raise ValueError(f"alphabet mismatch: {n} letters, {sft.edge_count} SFT edges")
-    words = language_words(sft, 2 * radius + 1)
-    return np.array([power_alphabet_index(n, 2 * radius + 1, w) for w in words], dtype=np.int64)
+    ends = sft.edge_endpoints()
+    ok = np.array([t == s for _, t in ends for s, _ in ends])
+    def mask(ch, flags):
+        for i in range(ch.width - 1):
+            flags = flags | ~ch.take(ok, i, 2)
+        return flags
+    return mask
 
 
 def _inflate_block_map(n: int, k: int, images: tuple[int, ...], t: int) -> np.ndarray:
@@ -400,7 +408,7 @@ def equals(f: StabilizedCode, g: StabilizedCode, sft: SftMatrix | None = None) -
     and the walk stops at the first chunk that differs.  Codes of different
     shapes are refused where their refinements to the common shape would
     be, so the budget bounds windows walked, not bytes held.  With `sft`,
-    only windows admissible for that shift of finite type are compared.
+    the walk masks out windows that are not paths of that SFT.
     """
     if f.n != g.n:
         raise ValueError("alphabet mismatch")
@@ -417,16 +425,12 @@ def equals(f: StabilizedCode, g: StabilizedCode, sft: SftMatrix | None = None) -
         return np.array_equal(fm, gm)
     if (f.period, f.radius) != (g.period, g.radius):
         _check_size(n, radius, period)
-    width = 2 * radius + 1
+    on_sft = _on_sft(n, sft)
     # class c of h reads table c mod k_h at slots R - r_h .. R + r_h
     reads = [[(h.tables[c % h.period], radius - h.radius, 2 * h.radius + 1) for h in (f, g)]
              for c in range(period)]
-    if sft is not None:
-        windows = _admissible_window_indices(n, radius, sft)
-        return all(np.array_equal(*(t[subwindow(windows, n, width, lo, w)] for t, lo, w in pair))
-                   for pair in reads)
-    return all((ch.take(*a) == ch.take(*b)).all()
-               for ch in window_chunks(n, width) for a, b in reads)
+    return all(on_sft(ch, ch.take(*a) == ch.take(*b)).all()
+               for ch in window_chunks(n, 2 * radius + 1) for a, b in reads)
 
 
 def commutes_with_shift_power(code: StabilizedCode, m: int, sft: SftMatrix | None = None) -> bool:
@@ -434,16 +438,17 @@ def commutes_with_shift_power(code: StabilizedCode, m: int, sft: SftMatrix | Non
 
     Conjugating by shift^m moves the position class by m, and refined to
     period lcm(k, m) class c reads table c mod k, so commutation is
-    tables[c] == tables[(c + m) mod k] for c < k.  The tables are read in
-    place, so the only windows walked are the code's own: no budget
-    applies beyond the one its tables met, whatever m is.
+    tables[c] == tables[(c + m) mod k] for c < k, read in place: no budget
+    applies beyond the one the tables met, whatever m is.  With `sft`,
+    equals compares the code with its classes moved by m on that shift.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     k = code.period
-    idx = slice(None) if sft is None else _admissible_window_indices(code.n, code.radius, sft)
-    return all(np.array_equal(code.tables[c][idx], code.tables[(c + m) % k][idx])
-               for c in range(k))
+    if sft is not None:
+        moved = code.tables[m % k:] + code.tables[:m % k]
+        return equals(code, StabilizedCode(code.n, k, code.radius, moved), sft)
+    return all(np.array_equal(code.tables[c], code.tables[(c + m) % k]) for c in range(k))
 
 
 def verify_inverse_pair(f: StabilizedCode, g: StabilizedCode) -> bool:

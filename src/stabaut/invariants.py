@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .shifts import prime_exponents, prime_factors
+from .shifts import _trial_divide, prime_exponents, prime_factors
 
 
 def omega(n: int) -> int:
@@ -35,18 +35,21 @@ def roots_set(a: int) -> frozenset[int]:
 
     With a = b^g, b no perfect power, the set is the divisors of g.  Roots
     are taken from a shrinking base, each k as often as it divides: a k
-    that succeeds is prime, since every smaller exponent is gone, and no
-    base of at least 2 has an exponent past its bit length.
+    that succeeds is prime, since every smaller exponent is gone.  A k must
+    divide g0, the gcd of the exponents of the primes below 1000 in a,
+    which each root divides by k; with no such prime, every base is at
+    least 1009 > 2^9, so k is at most a's bit length over 9.
     """
     if a < 2:
         raise ValueError("need a >= 2")
+    g0 = gcd(*_trial_divide(a)[0].values())
     g, k = 1, 2
-    while k <= a.bit_length():
-        root = _integer_root(a, k)
+    while k <= (g0 or a.bit_length() // 9):
+        root = None if g0 % k else _integer_root(a, k)
         if root is None:
             k += 1
         else:
-            a, g = root, g * k
+            a, g, g0 = root, g * k, g0 // k
     return frozenset(d for d in range(1, g + 1) if g % d == 0)
 
 

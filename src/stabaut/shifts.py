@@ -280,6 +280,16 @@ def _rho_factor(m: int) -> int:
     raise ValueError(f"Pollard rho found no proper divisor of {m}")
 
 
+def _trial_divide(n: int) -> tuple[Counter[int], int]:
+    """(exponents of the primes below 1000 in n, the cofactor with none)."""
+    exps: Counter[int] = Counter()
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            n //= p
+            exps[p] += 1
+    return exps, n
+
+
 def prime_exponents(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(sorted primes of n, their exponents in n), exactly.
 
@@ -290,11 +300,7 @@ def prime_exponents(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    exps: Counter[int] = Counter()
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            n //= p
-            exps[p] += 1
+    exps, n = _trial_divide(n)
     # what is left has no prime factor below 1000, so below 1000^2 it is prime
     pending = [n] if n > 1 else []
     while pending:

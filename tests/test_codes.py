@@ -45,6 +45,7 @@ from stabaut.shifts import (
     SftMatrix,
     VerificationFailed,
     index_to_block,
+    language_words,
     lcm,
     power_alphabet_index,
 )
@@ -132,6 +133,25 @@ def golden_mean_windows(width, admissible):
     return [i for i in range(3**width)
             if admissible == all(ends[a][1] == ends[b][0]
                                  for a, b in itertools.pairwise(index_to_block(3, width, i)))]
+
+
+@st.composite
+def small_sfts(draw):
+    """An SftMatrix of dimension 1 to 3, entries 0 to 2 and 1 to 4 edges;
+    with a sink (the last vertex, no edge out) some widths have no path."""
+    dim = draw(st.integers(1, 3))
+    sink = dim > 1 and draw(st.booleans())
+    cells = draw(st.lists(st.tuples(st.integers(0, dim - 1 - sink), st.integers(0, dim - 1)),
+                          min_size=1, max_size=4))
+    entries = [[cells.count((i, j)) for j in range(dim)] for i in range(dim)]
+    assume(max(map(max, entries)) <= 2)
+    return SftMatrix(tuple(map(tuple, entries)))
+
+
+def sft_window_indices(sft, width):
+    """Oracle: the index of every path of `width` edges, word by word."""
+    return np.array([power_alphabet_index(sft.edge_count, width, w)
+                     for w in language_words(sft, width)], dtype=np.int64)
 
 
 @st.composite
@@ -365,6 +385,51 @@ class TestSmallChunks:
         merge[1] = 0
         assert find_inverse(compose(StabilizedCode(code.n, 1, 0, (merge,)), code), 2) is None
 
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(small_sfts(), st.data())
+    def test_sft_forms_against_the_word_oracle(self, small_chunk, sft, data):
+        n = sft.edge_count
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        periods, radii = st.integers(1, 3), st.integers(0, 2)
+
+        def tables(count, radius):
+            return [rng.integers(0, n, n ** (2 * radius + 1)) for _ in range(count)]
+
+        def maybe_changed(code):
+            """The code, or the code with one entry changed: at any window,
+            or at a path of `sft` when it has one."""
+            where = data.draw(st.sampled_from(["nowhere", "anywhere", "on a path"]))
+            paths = sft_window_indices(sft, 2 * code.radius + 1)
+            if where == "nowhere":
+                return code
+            windows = paths if where == "on a path" and paths.size else range(code.tables[0].size)
+            return with_entry_changed(code, data.draw(st.integers(0, code.period - 1)),
+                                      int(data.draw(st.sampled_from(windows))))
+
+        k, r = data.draw(periods), data.draw(radii)
+        f = StabilizedCode(n, k, r, tuple(tables(k, r)))
+        if data.draw(st.booleans()):
+            g = f.refine(k * data.draw(st.integers(1, 2)), data.draw(st.integers(r, 2)))
+        else:
+            k, r = data.draw(periods), data.draw(radii)
+            g = StabilizedCode(n, k, r, tuple(tables(k, r)))
+        g = maybe_changed(g)
+        period, radius = lcm(f.period, g.period), max(f.radius, g.radius)
+        idx = sft_window_indices(sft, 2 * radius + 1)
+        want = all(np.array_equal(f.refine(period, radius).tables[c][idx],
+                                  g.refine(period, radius).tables[c][idx]) for c in range(period))
+        assert equals(f, g, sft) == equals(g, f, sft) == want
+        # classes drawn from two tables, so that some shifts move the code onto itself
+        r = data.draw(radii)
+        pool = tables(2, r)
+        pattern = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+        code = maybe_changed(StabilizedCode(n, len(pattern), r, tuple(pool[p] for p in pattern)))
+        idx, k = sft_window_indices(sft, 2 * r + 1), code.period
+        for m in range(1, 5):
+            assert commutes_with_shift_power(code, m, sft) == all(
+                np.array_equal(code.tables[c][idx], code.tables[(c + m) % k][idx]) for c in range(k))
+
     def test_structure_is_read_over_every_window(self, small_chunk):
         shift = shift_power(5, -2).forward
         block = symbol_permutation(2, 3, Permutation((3, 0, 1, 2, 7, 4, 5, 6))).forward
@@ -418,6 +483,19 @@ class TestWalkMemory:
             same, peak = traced_peak(lambda: equals(f, g))
             assert same == (g is f_big)
             assert peak < 4 * WINDOW_CHUNK * 8
+
+    def test_equals_on_a_shift_of_finite_type(self):
+        # 3^13 windows of the full 3-shift, every one a path: time and memory of the walk
+        f = seeded_code(1, 3, 2, 6)
+        g = with_entry_changed(f, 1, 3**13 // 2)
+        full = SftMatrix.full_shift(3)
+        start = time.perf_counter()
+        assert equals(f, f, full) and not equals(f, g, full)
+        assert time.perf_counter() - start < 5
+        for h in (f, g):
+            same, peak = traced_peak(lambda: equals(f, h, full))
+            assert same == (h is f)
+            assert peak < 8 * WINDOW_CHUNK * 8
 
     def test_verify_inverse_pair(self):
         # period 4 and radius 2 each way over 5 letters: the composite would

@@ -51,9 +51,8 @@ class TestRootsSet:
         # 10**400 overflows a float; its roots are the divisors of 400
         assert roots_set(10**400) == frozenset(k for k in range(1, 401) if 400 % k == 0)
 
-    def test_large_power_takes_a_root_per_prime_factor(self, monkeypatch):
-        # 14000 = 2^4 5^3 7: 8 roots taken and 5 failed tries (k = 2, 3, 4, 5, 6),
-        # not one Newton root per k up to the bit length
+    @staticmethod
+    def counted_roots(monkeypatch):
         calls = []
 
         def counting_root(a, k):
@@ -62,8 +61,25 @@ class TestRootsSet:
             return _integer_root(a, k)
 
         monkeypatch.setattr("stabaut.invariants._integer_root", counting_root)
+        return calls
+
+    def test_large_power_takes_a_root_per_prime_factor(self, monkeypatch):
+        # 14000 = 2^4 5^3 7: 8 roots taken, and no k that does not divide the
+        # exponent of 2 is tried
+        calls = self.counted_roots(monkeypatch)
         assert roots_set(2**14000) == frozenset(k for k in range(1, 14001) if 14000 % k == 0)
-        assert len(calls) == 13
+        assert calls == [2, 2, 2, 2, 5, 5, 5, 7]
+
+    def test_coprime_small_exponents_take_no_root(self, monkeypatch):
+        # the exponents 1 of 3 and 14000 of 2 have gcd 1: no k > 1 divides both
+        calls = self.counted_roots(monkeypatch)
+        assert roots_set(3 * 2**14000) == frozenset({1})
+        assert calls == []
+
+    def test_no_small_prime_bounds_k_by_the_least_base(self):
+        # bases past 1000: 1009^13 has 130 bits, so k <= 14 suffices
+        for base, e in ((1009, 13), (1000003, 7), (2**61 - 1, 6), (10**30 + 57, 4)):
+            assert roots_set(base**e) == frozenset(k for k in range(1, e + 1) if e % k == 0)
 
     @given(st.integers(1, 10**80), st.integers(2, 40))
     def test_integer_root_exact(self, x, k):
