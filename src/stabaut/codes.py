@@ -373,21 +373,20 @@ def code_power(code: StabilizedCode, m: int) -> StabilizedCode:
     return out
 
 
-def _on_sft(n: int, sft: SftMatrix | None):
-    """f(chunk, flags): a walk's per-window flags OR'ed with "not a path of
-    `sft`", a path being a window with ok[e_i n + e_(i+1)] (e_i ends where
-    e_(i+1) starts) at each i; without `sft`, the flags as they are, free."""
-    if sft is None:
-        return lambda ch, flags: flags
+def _off_sft(n: int, sft: SftMatrix):
+    """f(chunk): True at the chunk's windows that are not paths of `sft`, a
+    path being a window with ok[e_i n + e_(i+1)] (e_i ends where e_(i+1)
+    starts) at each i, so width - 1 reads of ok per chunk."""
     if sft.edge_count != n:
         raise ValueError(f"alphabet mismatch: {n} letters, {sft.edge_count} SFT edges")
     ends = sft.edge_endpoints()
     ok = np.array([t == s for _, t in ends for s, _ in ends])
-    def mask(ch, flags):
+    def off(ch):
+        flags = np.zeros((1,) * ch.s, dtype=bool)
         for i in range(ch.width - 1):
             flags = flags | ~ch.take(ok, i, 2)
         return flags
-    return mask
+    return off
 
 
 def _inflate_block_map(n: int, k: int, images: tuple[int, ...], t: int) -> np.ndarray:
@@ -425,12 +424,15 @@ def equals(f: StabilizedCode, g: StabilizedCode, sft: SftMatrix | None = None) -
         return np.array_equal(fm, gm)
     if (f.period, f.radius) != (g.period, g.radius):
         _check_size(n, radius, period)
-    on_sft = _on_sft(n, sft)
     # class c of h reads table c mod k_h at slots R - r_h .. R + r_h
     reads = [[(h.tables[c % h.period], radius - h.radius, 2 * h.radius + 1) for h in (f, g)]
              for c in range(period)]
-    return all(on_sft(ch, ch.take(*a) == ch.take(*b)).all()
-               for ch in window_chunks(n, 2 * radius + 1) for a, b in reads)
+    chunks = window_chunks(n, 2 * radius + 1)
+    if sft is None:
+        return all((ch.take(*a) == ch.take(*b)).all() for ch in chunks for a, b in reads)
+    off = _off_sft(n, sft)  # refuses an alphabet mismatch before the walk
+    return all(((ch.take(*a) == ch.take(*b)) | skip).all()
+               for ch in chunks for skip in [off(ch)] for a, b in reads)
 
 
 def commutes_with_shift_power(code: StabilizedCode, m: int, sft: SftMatrix | None = None) -> bool:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .shifts import _trial_divide, prime_exponents, prime_factors
+from .shifts import VerificationFailed, _perfect_power, prime_factors
 
 
 def omega(n: int) -> int:
@@ -15,42 +15,17 @@ def omega(n: int) -> int:
     return len(prime_factors(n))
 
 
-def _integer_root(a: int, k: int) -> int | None:
-    """The exact integer k-th root of a >= 1, if one exists.
-
-    Integer Newton iteration from an upper bound decreases monotonically
-    to floor(a^(1/k)), so the result is exact for integers of any size.
-    """
-    x = 1 << -(-a.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + a // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    return x if x**k == a else None
-
-
 def roots_set(a: int) -> frozenset[int]:
     """{k : a^(1/k) is an integer}; always contains 1.
 
-    With a = b^g, b no perfect power, the set is the divisors of g.  Roots
-    are taken from a shrinking base, each k as often as it divides: a k
-    that succeeds is prime, since every smaller exponent is gone.  A k must
-    divide g0, the gcd of the exponents of the primes below 1000 in a,
-    which each root divides by k; with no such prime, every base is at
-    least 1009 > 2^9, so k is at most a's bit length over 9.
+    With a = b^h, b no perfect power (shifts._perfect_power), the set is
+    the divisors of h.  No factorization is needed, so the classical
+    verdict holds on numbers the factorizer refuses.
     """
     if a < 2:
         raise ValueError("need a >= 2")
-    g0 = gcd(*_trial_divide(a)[0].values())
-    g, k = 1, 2
-    while k <= (g0 or a.bit_length() // 9):
-        root = None if g0 % k else _integer_root(a, k)
-        if root is None:
-            k += 1
-        else:
-            a, g, g0 = root, g * k, g0 // k
-    return frozenset(d for d in range(1, g + 1) if g % d == 0)
+    h = _perfect_power(a)[1]
+    return frozenset(d for d in range(1, h + 1) if h % d == 0)
 
 
 @dataclass(frozen=True)
@@ -70,47 +45,27 @@ class Verdict:
             raise ValueError("bad outcome")
 
 
-def _common_power_certificate(m: int, n: int, fm, fn) -> tuple[int, int] | None:
-    """(j, k) with m^j == n^k, when the exponent vectors of m and n, read
-    off their factorizations fm and fn, are parallel."""
-    (pm, em), (pn, en) = fm, fn
-    if pm != pn:
-        return None
-    gm, gn = gcd(*em), gcd(*en)
-    if tuple(e // gm for e in em) != tuple(e // gn for e in en):
-        return None
-    g = gcd(gm, gn)
-    j, k = gn // g, gm // g
-    assert m**j == n**k
-    return j, k
-
-
 def distinguish_stabilized(m: int, n: int) -> Verdict:
     """Verdict for the stabilized groups of the m- and n-shifts.
 
     Different prime-divisor counts force non-isomorphic abelianizations;
     a common power m^j = n^k makes the shifts rationally conjugate and
     the groups isomorphic; anything else is left open.  Each number is
-    factored once, for both criteria.
+    factored once, for omega.  A common power exists iff m = b^h_m and
+    n = b^h_n share b, no perfect power; the least is m^(h_n/g) = n^(h_m/g).
     """
     if m < 2 or n < 2:
         raise ValueError("need m, n >= 2")
-    fm, fn = prime_exponents(m), prime_exponents(n)
-    om, on = len(fm[0]), len(fn[0])
+    om, on = omega(m), omega(n)
     if om != on:
-        return Verdict(
-            "distinguishable",
-            "prime-divisor-count",
-            {"omega_m": om, "omega_n": on},
-        )
-    cert = _common_power_certificate(m, n, fm, fn)
-    if cert is not None:
-        j, k = cert
-        return Verdict(
-            "isomorphic",
-            "rational-conjugacy",
-            {"j": j, "k": k, "identity": f"{m}^{j} == {n}^{k}"},
-        )
+        return Verdict("distinguishable", "prime-divisor-count", {"omega_m": om, "omega_n": on})
+    (bm, hm), (bn, hn) = _perfect_power(m), _perfect_power(n)
+    if bm == bn:
+        j, k = hn // gcd(hm, hn), hm // gcd(hm, hn)
+        if m**j != n**k:
+            raise VerificationFailed(f"m^{j} != n^{k}: the common power certificate failed")
+        return Verdict("isomorphic", "rational-conjugacy",
+                       {"j": j, "k": k, "identity": f"{m}^{j} == {n}^{k}"})
     return Verdict("inconclusive", "no-criterion-applies", {"omega": om})
 
 

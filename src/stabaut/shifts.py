@@ -144,7 +144,8 @@ def count_least_period_orbits(n: int, p: int) -> int:
     for prime in prime_exponents(p)[0] if p > 1 else ():
         terms += [(e * prime, -mu) for e, mu in terms]
     total = sum(mu * n ** (p // e) for e, mu in terms)
-    assert total % p == 0
+    if total % p:
+        raise VerificationFailed(f"the Moebius sum for least period {p} is not a multiple of {p}")
     return total // p
 
 
@@ -290,17 +291,55 @@ def _trial_divide(n: int) -> tuple[Counter[int], int]:
     return exps, n
 
 
+def _integer_root(a: int, k: int) -> int | None:
+    """The exact integer k-th root of a >= 1, if one exists.
+
+    Integer Newton iteration from an upper bound decreases monotonically
+    to floor(a^(1/k)), so the result is exact for integers of any size.
+    The bound 2^(log2(a)/k), raised past float error, is near the root:
+    from 2^ceil(bits/k), x would shrink by only 1 - 1/k a step.
+    """
+    e = math.log2(a) / k * (1 + 2**-30)
+    s = max(0, int(e) - 60)
+    x = (int(2 ** (e - s)) + 1) << s
+    while (y := ((k - 1) * x + a // x ** (k - 1)) // k) < x:
+        x = y
+    return x if x**k == a else None
+
+
+def _perfect_power(a: int) -> tuple[int, int]:
+    """(b, h) with a = b^h and b no perfect power, for a >= 1.
+
+    Roots are taken from a shrinking base at prime k (a composite k never
+    succeeds, its prime factors being gone).  A k divides g0, the gcd of
+    the exponents of the primes below 1000 in a; with no such prime every
+    base is at least 1009 > 2^9, so k is at most its bit length over 9.
+    """
+    g0 = math.gcd(*_trial_divide(a)[0].values())
+    h, k = 1, 2
+    while k <= (g0 or a.bit_length() // 9):
+        skip = g0 % k or any(k % d == 0 for d in range(2, math.isqrt(k) + 1))
+        root = None if skip else _integer_root(a, k)
+        if root is None:
+            k += 1
+        else:
+            a, h, g0 = root, h * k, g0 // k
+    return a, h
+
+
 def prime_exponents(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(sorted primes of n, their exponents in n), exactly.
 
-    Trial division by the primes below 1000, then Pollard rho on the rest,
-    every factor proved prime by deterministic Miller-Rabin.  A cofactor
-    that cannot be settled exactly, or one longer than FACTOR_BITS, raises
+    Trial division by the primes below 1000 leaves a cofactor b^h, b no
+    perfect power; Pollard rho splits b, every factor proved prime by
+    deterministic Miller-Rabin, and counts each prime h times.  A base that
+    cannot be settled exactly, or one longer than FACTOR_BITS, raises
     ValueError.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     exps, n = _trial_divide(n)
+    n, h = _perfect_power(n)
     # what is left has no prime factor below 1000, so below 1000^2 it is prime
     pending = [n] if n > 1 else []
     while pending:
@@ -309,7 +348,7 @@ def prime_exponents(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             raise ValueError(f"cannot factor a cofactor of {m.bit_length()} bits: "
                              f"exact factoring stops at {FACTOR_BITS} bits")
         if m < 1000**2 or _is_prime(m):
-            exps[m] += 1
+            exps[m] += h
         else:
             d = _rho_factor(m)
             pending += [d, m // d]

@@ -777,6 +777,21 @@ class TestRefineAndEquals:
         assert not equals(ca, cb)
         assert equals(ca, cb, sft=gm)
 
+    def test_sft_path_mask_is_read_once_per_chunk(self, monkeypatch):
+        # the path table is boolean and the code tables are not: each chunk
+        # reads it width - 1 times, whatever the period
+        f = seeded_code(5, 3, 8, 5)
+        reads = []
+        take = stabaut.codes.WindowChunk.take
+        def counted(ch, table, *args):
+            reads.append(table.dtype == bool)
+            return take(ch, table, *args)
+        monkeypatch.setattr(stabaut.codes.WindowChunk, "take", counted)
+        assert equals(f, f, GOLDEN_MEAN)
+        chunks = len(list(window_chunks(3, 11)))
+        assert sum(reads) == 10 * chunks
+        assert len(reads) - sum(reads) == 2 * 8 * chunks
+
     def test_sft_alphabet_must_be_the_code_alphabet(self):
         # over 3 letters f and g differ only at the letter 2, which no edge
         # of the 2-shift names

@@ -1,3 +1,6 @@
+import math
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,11 +12,11 @@ from stabaut.invariants import (
     Verdict,
     distinguish_classical,
     distinguish_stabilized,
-    _integer_root,
     omega,
     roots_set,
     sl2_z4_report,
 )
+from stabaut.shifts import VerificationFailed, _integer_root, prime_exponents
 
 
 class TestOmega:
@@ -60,7 +63,7 @@ class TestRootsSet:
             assert len(calls) <= 50, "one integer root per k up to the bit length"
             return _integer_root(a, k)
 
-        monkeypatch.setattr("stabaut.invariants._integer_root", counting_root)
+        monkeypatch.setattr("stabaut.shifts._integer_root", counting_root)
         return calls
 
     def test_large_power_takes_a_root_per_prime_factor(self, monkeypatch):
@@ -81,10 +84,46 @@ class TestRootsSet:
         for base, e in ((1009, 13), (1000003, 7), (2**61 - 1, 6), (10**30 + 57, 4)):
             assert roots_set(base**e) == frozenset(k for k in range(1, e + 1) if e % k == 0)
 
+    def test_prime_exponent_past_the_small_primes(self):
+        # k = 1009 is past the primes below 1000, and Newton starts near the root
+        start = time.perf_counter()
+        assert roots_set(1009**1009) == frozenset({1, 1009})
+        assert time.perf_counter() - start < 0.5
+
     @given(st.integers(1, 10**80), st.integers(2, 40))
     def test_integer_root_exact(self, x, k):
         assert _integer_root(x**k, k) == x
         assert _integer_root(x**k + 1, k) is None
+
+
+def exponent_vector_certificate(m, n):
+    """Oracle: (j, k) with m^j == n^k when the exponent vectors of m and n
+    are parallel, else None."""
+    (pm, em), (pn, en) = prime_exponents(m), prime_exponents(n)
+    if pm != pn:
+        return None
+    gm, gn = math.gcd(*em), math.gcd(*en)
+    if tuple(e // gm for e in em) != tuple(e // gn for e in en):
+        return None
+    g = math.gcd(gm, gn)
+    return gn // g, gm // g
+
+
+# products of prime powers; the primes past 1000 keep every cofactor base
+# within the factorizer's bit bound
+POWER_PRIMES = st.lists(st.sampled_from([2, 3, 5, 1009, 1013, 1000003]), min_size=1, max_size=3,
+                        unique=True)
+
+
+@st.composite
+def prime_power_pairs(draw):
+    """(B^a, C^c), B and C products of prime powers with exponents 1 .. 3,
+    C = B half the time, so that common powers are frequent."""
+    def base(primes):
+        return math.prod(p ** draw(st.integers(1, 3)) for p in primes)
+    b = base(draw(POWER_PRIMES))
+    c = b if draw(st.booleans()) else base(draw(POWER_PRIMES))
+    return b ** draw(st.integers(1, 6)), c ** draw(st.integers(1, 6))
 
 
 class TestDistinguishStabilized:
@@ -117,15 +156,38 @@ class TestDistinguishStabilized:
 
     def test_each_number_factored_once(self, monkeypatch):
         # nextprime(2^34) nextprime(2^35) against nextprime(2^33) nextprime(2^36):
-        # equal omega counts, so both criteria read the two factorizations
+        # equal omega counts, so the certificate is sought too, from the
+        # power structure and not from a second factorization
         calls = []
         factor = stabaut.shifts.prime_exponents
-        for module in (stabaut.shifts, stabaut.invariants):  # prime_factors calls it too
-            monkeypatch.setattr(module, "prime_exponents", lambda n: calls.append(n) or factor(n))
+        monkeypatch.setattr(stabaut.shifts, "prime_exponents",
+                            lambda n: calls.append(n) or factor(n))
         m, n = (2**34 + 25) * (2**35 + 53), (2**33 + 17) * (2**36 + 31)
         verdict = distinguish_stabilized(m, n)
         assert (verdict.outcome, verdict.detail) == ("inconclusive", {"omega": 2})
         assert calls == [m, n]
+
+    @given(prime_power_pairs())
+    def test_certificate_matches_exponent_vectors(self, pair):
+        m, n = pair
+        verdict = distinguish_stabilized(m, n)
+        if len(prime_exponents(m)[0]) != len(prime_exponents(n)[0]):
+            assert verdict.outcome == "distinguishable"
+        elif (cert := exponent_vector_certificate(m, n)) is None:
+            assert verdict.outcome == "inconclusive"
+        else:
+            assert verdict.outcome == "isomorphic"
+            assert (verdict.detail["j"], verdict.detail["k"]) == cert
+
+    def test_common_power_of_a_large_prime(self):
+        verdict = distinguish_stabilized(1009**2, 1009**13)
+        assert (verdict.outcome, verdict.detail["j"], verdict.detail["k"]) == ("isomorphic", 13, 2)
+
+    def test_failed_certificate_raises_verification_failed(self, monkeypatch):
+        # a forged common base for 3 and 5: the identity 3^1 == 5^1 fails
+        monkeypatch.setattr(stabaut.invariants, "_perfect_power", lambda a: (2, 1))
+        with pytest.raises(VerificationFailed, match="common power"):
+            distinguish_stabilized(3, 5)
 
     def test_bad_outcome_rejected(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,17 @@
 import itertools
+import math
 import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stabaut.shifts
 from stabaut.shifts import (
     FACTOR_BITS,
     PeriodicPoint,
     SftMatrix,
+    VerificationFailed,
     count_least_period_orbits,
     count_periodic,
     index_to_block,
@@ -141,6 +144,13 @@ class TestOrbitCounts:
         )
         assert total == n**p
 
+    def test_failed_divisibility_check_raises_verification_failed(self, monkeypatch):
+        # with 3 passed off as the prime of 4, the sum 2^4 - 2^1 is not a
+        # multiple of 4: the self-check raises, under python -O too
+        monkeypatch.setattr(stabaut.shifts, "prime_exponents", lambda p: ((3,), (1,)))
+        with pytest.raises(VerificationFailed, match="not a multiple of 4"):
+            count_least_period_orbits(2, 4)
+
 
 class TestPowerAlphabetIndex:
     def test_binary_reading(self):
@@ -245,6 +255,40 @@ class TestFactorizer:
         n = 1009 * 1000003 * 998244353 * (2**61 - 1)
         assert n.bit_length() <= FACTOR_BITS
         assert prime_exponents(n) == ((1009, 1000003, 998244353, 2**61 - 1), (1, 1, 1, 1))
+
+    def test_powers_of_large_primes_factor(self):
+        # the cofactor is a power of a base within the bit bound: peeled first
+        assert prime_exponents(1009**13) == ((1009,), (13,))
+        assert prime_exponents(1000003**7) == ((1000003,), (7,))
+        assert prime_exponents(2**5 * (2**61 - 1)**6) == ((2, 2**61 - 1), (5, 6))
+        start = time.perf_counter()
+        assert prime_exponents(1009**1009) == ((1009,), (1009,))
+        assert time.perf_counter() - start < 0.5
+
+    def test_long_cofactor_is_refused_after_a_fast_peel(self):
+        # the cofactor left by trial division has 13599 bits and no prime
+        # below 1000, so every prime k up to 13599 // 9 is tried for a root;
+        # from the bit bound Newton took about 1 s over them
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"13599 bits: exact factoring stops at {FACTOR_BITS}"):
+            prime_exponents((2**13000 + 1) * (2**607 - 1))
+        assert time.perf_counter() - start < 0.5
+
+    def test_power_of_an_unsettled_base_raises(self):
+        # the base 10^30 + 57 has 100 bits, past the exact Miller-Rabin bound
+        with pytest.raises(ValueError, match="exact only below"):
+            prime_exponents((10**30 + 57)**4)
+
+    @given(st.integers(1010, 10**6), st.integers(1010, 10**6), st.booleans(),
+           st.integers(1, 20), st.lists(st.integers(2, 999), max_size=6))
+    def test_power_of_a_large_base_matches_sympy(self, x, y, semiprime, h, small):
+        sympy = pytest.importorskip("sympy")
+        # b is a prime or a product of two primes in 1009 .. 10^6, and s a
+        # product of primes below 1000
+        b = sympy.prevprime(x) * (sympy.prevprime(y) if semiprime else 1)
+        s = math.prod(sympy.prevprime(a + 1) for a in small)
+        want = sorted(sympy.factorint(b**h * s).items())
+        assert prime_exponents(b**h * s) == tuple(zip(*want))
 
     def test_unsettled_cofactor_raises(self):
         # 2^89 - 1 is prime but above the exact Miller-Rabin bound
