@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -63,22 +64,14 @@ def automorphism_to_dict(aut: Automorphism) -> dict:
 
 
 def _code_from_fields(n: int, period: int, radius: int, tables, where: str) -> StabilizedCode:
-    import numpy as np
+    from .codes import StabilizedCode
 
-    from .codes import CodeSizeExceeded, StabilizedCode, _check_size
-
-    if any(type(v) is not int for v in (n, period, radius)) or n < 1 or period < 1 or radius < 0:
-        raise FileFormatError(f"{where}: bad n/period/radius")
-    try:
-        _check_size(n, radius, period)
-    except CodeSizeExceeded as exc:
-        raise FileFormatError(f"{where}: {exc}") from None
-    # the JSON types only: numpy would read a bool as 0 or 1
+    # the JSON types only (numpy would read a bool as 0 or 1); the constructor checks the rest
     if type(tables) is not list or any(
             type(t) is not list or not set(map(type, t)) <= {int} for t in tables):
         raise FileFormatError(f"{where}: tables must be a list of lists of integers")
     try:
-        return StabilizedCode(n, period, radius, tuple(np.asarray(t) for t in tables))
+        return StabilizedCode(n, period, radius, tuple(tables))
     except ValueError as exc:
         raise FileFormatError(f"{where}: {exc}") from None
 
@@ -173,45 +166,26 @@ def _emit(report: dict, as_json: bool) -> None:
         print(f"{key}: {value}")
 
 
-def _parse_cycles(text: str) -> list[tuple[int, ...]]:
-    """Parse '(1 2 3)(4 5)' with 1-based points into 0-based cycles."""
-    cycles = []
-    current: list[int] | None = None
-    token = ""
-    seen: set[int] = set()
+_CYCLE_NOTATION = re.compile(r"[ ,]*(\([ ,0-9]*\)[ ,]*)*")
 
-    def flush_token():
-        nonlocal token
-        if token:
+
+def _parse_cycles(text: str) -> list[tuple[int, ...]]:
+    """Parse '(1 2 3)(4 5)', 1-based points split by spaces or commas, into 0-based cycles."""
+    if not _CYCLE_NOTATION.fullmatch(text):
+        raise ValueError(f"bad cycle notation {text!r}: expected cycles such as '(1 2 3)(4 5)'")
+    cycles = []
+    seen: set[int] = set()
+    for body in re.findall(r"\(([ ,0-9]*)\)", text):
+        cycle = []
+        for token in re.findall(r"[0-9]+", body):
             point = int(token)
             if point < 1:
                 raise ValueError(f"point {token} in cycle notation must be at least 1")
             if point in seen:
                 raise ValueError(f"point {point} appears twice in cycle notation")
             seen.add(point)
-            current.append(point - 1)
-            token = ""
-
-    for ch in text:
-        if ch == "(":
-            if current is not None:
-                raise ValueError("nested cycle")
-            current = []
-        elif ch == ")":
-            flush_token()
-            cycles.append(tuple(current))
-            current = None
-        elif ch in " ,":
-            if current is not None:
-                flush_token()
-        elif ch.isdigit():
-            if current is None:
-                raise ValueError("digit outside cycle")
-            token += ch
-        else:
-            raise ValueError(f"bad character {ch!r} in cycle notation")
-    if current is not None:
-        raise ValueError("unclosed cycle")
+            cycle.append(point - 1)
+        cycles.append(tuple(cycle))
     return cycles
 
 
@@ -441,16 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perm", help="permutation-group experiments")
     psub = p.add_subparsers(dest="perm_command", required=True)
-    for name, extra in (
-        ("order", ()),
-        ("primitive", ()),
-        ("jordan", ()),
-        ("pcycle", ("--side",)),
-    ):
+    for name in ("order", "primitive", "jordan", "pcycle"):
         q = psub.add_parser(name)
         q.add_argument("generators", nargs="+", help="cycle notation, 1-based, e.g. '(1 2)(3 4)'")
         q.add_argument("--degree", type=int, default=0)
-        if "--side" in extra:
+        if name == "pcycle":
             q.add_argument("--side", type=int, required=True)
         q.set_defaults(func=_cmd_perm)
 

@@ -114,7 +114,7 @@ class WindowChunk:
         shape = (1,) * before + (n,) * free + (1,) * (self.s - before - free)
         return table[base: base + n**free].reshape(shape)
 
-    def outputs(self, n: int, reads) -> np.ndarray:
+    def outputs(self, reads) -> np.ndarray:
         """Leftmost-significant index of the letters take(table, lo, w)
         reads, one letter for each (table, lo, w) of `reads`.  The result
         spans only the chunk axes some read covers, so a sum over reads that
@@ -122,7 +122,7 @@ class WindowChunk:
         # an int64 array, not a scalar, so the sum is int64 under any promotion rules
         out = np.zeros((1,) * self.s, dtype=np.int64)
         for table, lo, w in reads:
-            out = out * n + self.take(table, lo, w)
+            out = out * self.n + self.take(table, lo, w)
         return out
 
 
@@ -207,8 +207,8 @@ class StabilizedCode:
     shift power, and `block_map` is the permutation of aligned
     `period`-blocks when the code acts blockwise.  compose() and equals()
     take a structured shortcut on either.  The constructor is the one
-    validator of tables, from a file or from code: each must be an integer
-    array of n^(2r+1) letters in 0 .. n-1.
+    validator, from a file or from code, of the shape against the budget
+    (first) and of each table: n^(2r+1) integer letters in 0 .. n-1.
     """
 
     n: int
@@ -222,6 +222,7 @@ class StabilizedCode:
         if (any(type(v) is not int for v in (self.n, self.period, self.radius))
                 or self.n < 1 or self.period < 1 or self.radius < 0):
             raise ValueError("bad code shape")
+        _check_size(self.n, self.radius, self.period)
         if len(self.tables) != self.period:
             raise ValueError(f"expected {self.period} tables, found {len(self.tables)}")
         want = window_count(self.n, self.radius)
@@ -265,9 +266,9 @@ class StabilizedCode:
         At class c the block holding the centre occupies window slots
         k-1-c .. 2k-2-c and the output is letter c of its image.
         """
+        _check_size(n, k - 1, k)
         if sorted(images) != list(range(n**k)):
             raise ValueError("images must permute the n^k blocks")
-        _check_size(n, k - 1, k)
         img = np.asarray(images, dtype=np.int64)
         return cls(n, k, k - 1, tuple(
             _widen(subwindow(img, n, k, c, 1).astype(_table_dtype(n)), n, k - 1 - c, c)
@@ -329,7 +330,7 @@ def _compose_walk(f: StabilizedCode, g: StabilizedCode):
     def walk():
         for ch in window_chunks(n, 2 * radius + 1):
             for rho in range(g.period):
-                outer = ch.outputs(n, reads[rho])
+                outer = ch.outputs(reads[rho])
                 for c in range(rho, period, g.period):
                     yield ch, c, f.tables[c % f.period][outer]
     return period, radius, walk()
@@ -569,7 +570,7 @@ def find_inverse(code: StabilizedCode, max_radius: int) -> StabilizedCode | None
         reads = [[(code.tables[(c - s + i) % k], i, 2 * r + 1) for i in range(2 * s + 1)]
                  for c in range(k)]
         tables = [np.full(window_count(n, s), -1, dtype=letters.dtype) for _ in range(k)]
-        if all(_pin(table, ch.outputs(n, read), ch.take(letters, span, 1))
+        if all(_pin(table, ch.outputs(read), ch.take(letters, span, 1))
                for ch in window_chunks(n, 2 * span + 1) for table, read in zip(tables, reads)):
             # entries no window pins may hold any letter
             return StabilizedCode(n, k, s, tuple(np.maximum(t, 0) for t in tables))

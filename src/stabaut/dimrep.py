@@ -117,7 +117,7 @@ def ray_image_count(aut: Automorphism, tail_letter: int = 0) -> RayCount:
         reads.append((table, out_pos - r - 1 + t, 2 * r + 1 - t))
     seen = np.zeros(q**free, dtype=bool)
     for ch in window_chunks(q, free):
-        seen[ch.outputs(q, reads)] = True
+        seen[ch.outputs(reads)] = True
     return RayCount(m, int(np.count_nonzero(seen)))
 
 

@@ -221,5 +221,5 @@ def _recode_code(code: StabilizedCode) -> StabilizedCode:
     table = np.empty(n**width, dtype=_table_dtype(n**k))
     reads = [(code.tables[c], big_r * k + c - r, 2 * r + 1) for c in range(k)]
     for ch in window_chunks(n, width):
-        ch.take(table)[...] = ch.outputs(n, reads)
+        ch.take(table)[...] = ch.outputs(reads)
     return StabilizedCode(n**k, 1, big_r, (table,))

@@ -53,6 +53,7 @@ def distinguish_stabilized(m: int, n: int) -> Verdict:
     the groups isomorphic; anything else is left open.  Each number is
     factored once, for omega.  A common power exists iff m = b^h_m and
     n = b^h_n share b, no perfect power; the least is m^(h_n/g) = n^(h_m/g).
+    The certificate, b^h_m == m and b^h_n == n, is at the size of the inputs.
     """
     if m < 2 or n < 2:
         raise ValueError("need m, n >= 2")
@@ -62,7 +63,7 @@ def distinguish_stabilized(m: int, n: int) -> Verdict:
     (bm, hm), (bn, hn) = _perfect_power(m), _perfect_power(n)
     if bm == bn:
         j, k = hn // gcd(hm, hn), hm // gcd(hm, hn)
-        if m**j != n**k:
+        if bm**hm != m or bn**hn != n:
             raise VerificationFailed(f"m^{j} != n^{k}: the common power certificate failed")
         return Verdict("isomorphic", "rational-conjugacy",
                        {"j": j, "k": k, "identity": f"{m}^{j} == {n}^{k}"})

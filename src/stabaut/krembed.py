@@ -55,7 +55,6 @@ class MarkerScheme:
     q: int
     n: int
     gap: int
-    sft: SftMatrix | None = None
 
     def __post_init__(self):
         if self.gap < 1:
@@ -94,7 +93,7 @@ def find_marker_scheme(target: int | SftMatrix, n: int, gap: int) -> MarkerSchem
     """
     if isinstance(target, int):
         return MarkerScheme(q=target, n=n, gap=gap)
-    scheme = MarkerScheme(q=target.edge_count, n=n, gap=gap, sft=target)
+    scheme = MarkerScheme(q=target.edge_count, n=n, gap=gap)
     _check_sft_feasibility(scheme, target)
     return scheme
 

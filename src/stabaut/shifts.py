@@ -285,9 +285,13 @@ def _trial_divide(n: int) -> tuple[Counter[int], int]:
     """(exponents of the primes below 1000 in n, the cofactor with none)."""
     exps: Counter[int] = Counter()
     for p in _SMALL_PRIMES:
+        # peel p, p^2, p^4, ... while they divide: p^e takes O(log(e)^2) divisions, not e
         while n % p == 0:
-            n //= p
-            exps[p] += 1
+            q, k = p, 1
+            while n % q == 0:
+                n //= q
+                exps[p] += k
+                q, k = q * q, 2 * k
     return exps, n
 
 

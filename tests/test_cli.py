@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import stabaut
 from stabaut.cli import (
     FileFormatError,
+    _parse_cycles,
     automorphism_from_dict,
     automorphism_to_dict,
     canonical_json,
@@ -30,7 +31,7 @@ from stabaut.dimrep import dimension_multiplier
 from stabaut.generators import flip, flip_on_even, shift_power, symbol_permutation
 from stabaut.permlab import Permutation
 from stabaut.krembed import embed_automorphism, find_marker_scheme
-from stabaut.shifts import count_least_period_orbits
+from stabaut.shifts import SftMatrix, count_least_period_orbits
 
 
 @pytest.fixture
@@ -93,6 +94,10 @@ class TestFileFormat:
         save_scheme(scheme, str(path))
         loaded = load_scheme(str(path))
         assert loaded == scheme
+
+    def test_sft_target_scheme_round_trips(self):
+        scheme = find_marker_scheme(SftMatrix.full_shift(5), 2, 2)
+        assert scheme_from_dict(scheme_to_dict(scheme)) == scheme
 
     def test_saved_tables_match_the_per_entry_form(self, tmp_path):
         rng = random.Random(5)
@@ -302,15 +307,20 @@ class TestExitCodes:
         (["perm", "order", "(1 1)"], "point 1 appears twice in cycle notation"),
         (["perm", "order", "(1)(1 2)"], "point 1 appears twice in cycle notation"),
         (["perm", "order", "(1 2 1)"], "point 1 appears twice in cycle notation"),
+        *((["perm", "order", text], f"bad cycle notation {text!r}")
+          for text in (")", "(1 2))", "((1 2)", "1 2)", "(1 2", "(a)", "(1\t2)")),
     ], ids=["commutator-alphabet", "commutator-letter", "perm-degree", "perm-point",
             "census-radius", "census-period", "census-size", "orbits-huge", "orbits-unprintable",
             "pcycle-side", "perm-point-zero", "perm-point-zero-with-degree",
-            "perm-point-repeated", "perm-point-in-two-cycles", "perm-cycle-revisits"])
+            "perm-point-repeated", "perm-point-in-two-cycles", "perm-cycle-revisits",
+            "perm-close-only", "perm-extra-close", "perm-nested", "perm-unopened",
+            "perm-unclosed", "perm-letter", "perm-tab"])
     def test_oversized_or_bad_argument_refused(self, capsys, argv, message):
         start = time.perf_counter()
         assert run(argv) == 1
         assert time.perf_counter() - start < 1.0
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
     @pytest.mark.parametrize("aut, argv", [
         (flip(2), ["root", "{}", "40"]),
@@ -428,7 +438,9 @@ FUZZ_INTS = st.sampled_from(["-1", "0", "1", "2", "3", str(2**31 - 1), str(2**61
                              str(10**30), str((2**3217 - 1) * (2**607 - 1)), str(1009**1009),
                              "x", "1.5", "-0", "0x10"])
 CYCLES = ["(1 2)", "(1 2 3)(4 5)", "(1,2,3,4,5,6,7,8,9)", "(1 2 3 4)", "()", "(0 1)", "(1 1)",
-          "((1 2))", "(1 2", "1 2)", "(a b)", "(65 1)", "(1 2)(2 3)", "(99999999999999999999)"]
+          "((1 2))", "(1 2", "1 2)", "(a b)", "(65 1)", "(1 2)(2 3)", "(99999999999999999999)",
+          ")", "(1 2))"]
+CYCLE_TEXT = st.text(alphabet="() ,0123456789", max_size=12)
 
 
 def fuzz_files(root):
@@ -491,7 +503,7 @@ def cli_argvs(draw, files, out):
         argv += draw(st.sampled_from([[], ["--out", out], ["--scheme-out", out]]))
     else:
         argv += [draw(st.sampled_from(["order", "primitive", "jordan", "pcycle"]))]
-        argv += draw(st.lists(st.sampled_from(CYCLES), min_size=1, max_size=3))
+        argv += draw(st.lists(st.sampled_from(CYCLES) | CYCLE_TEXT, min_size=1, max_size=3))
         argv += draw(st.sampled_from([[], ["--degree", ints()]]))
         argv += draw(st.sampled_from([[], ["--side", ints()]]))
     prefix = draw(st.sampled_from([[], ["--json"], ["--seed", ints()]]))
@@ -535,3 +547,15 @@ class TestFuzz:
         if code == 0 and "--out" in argv:
             # a file the CLI writes, the CLI reads
             load_automorphism(out)
+
+
+# cycle notation: the characters of the grammar, in runs that often parse
+@given(CYCLE_TEXT | st.lists(st.sampled_from(["(", ")", " ", ",", "1", "2", "13", "07", "0"]),
+                             max_size=12).map("".join))
+def test_accepted_cycle_notation_round_trips(text):
+    try:
+        cycles = _parse_cycles(text)
+    except ValueError:
+        return
+    rendered = "".join("(" + " ".join(str(p + 1) for p in cycle) + ")" for cycle in cycles)
+    assert _parse_cycles(rendered) == cycles

@@ -253,7 +253,7 @@ class TestChunkBoundary:
         # NumPy 1's value-based casting as under NEP 50
         table = np.arange(5**7, dtype=np.int16) % 5
         (ch,) = window_chunks(5, 7)
-        got = ch.outputs(5, [(table, lo, 1) for lo in range(7)])
+        got = ch.outputs([(table, lo, 1) for lo in range(7)])
         assert got.dtype == np.int64
         assert np.array_equal(np.broadcast_to(got, ch.shape).ravel(), np.arange(5**7))
 
@@ -610,6 +610,17 @@ class TestStructureChecked:
         with pytest.raises(CodeSizeExceeded, match=r"3\^2000001 entries"):
             StabilizedCode.shift(3, 10**6)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("build", [
+        lambda: StabilizedCode(3, 1, 10**6, (np.zeros(3, dtype=int),)),
+        lambda: StabilizedCode.from_block_permutation(3, 10**6, (0, 1, 2)),
+    ], ids=["constructor", "block-permutation"])
+    def test_huge_shape_refused_before_anything_is_built(self, build):
+        # the shape is checked against the budget before n^(2r+1) or n^k is computed
+        start = time.perf_counter()
+        with pytest.raises(CodeSizeExceeded):
+            build()
+        assert time.perf_counter() - start < 0.01
 
 
 class TestTableValidation:

@@ -189,6 +189,20 @@ class TestDistinguishStabilized:
         with pytest.raises(VerificationFailed, match="common power"):
             distinguish_stabilized(3, 5)
 
+    def test_forged_exponent_raises_verification_failed(self, monkeypatch):
+        # the right base with a wrong exponent for 8: 2^4 != 8
+        monkeypatch.setattr(stabaut.invariants, "_perfect_power", {4: (2, 2), 8: (2, 4)}.get)
+        with pytest.raises(VerificationFailed, match="common power"):
+            distinguish_stabilized(4, 8)
+
+    def test_certificate_is_checked_at_the_size_of_the_inputs(self):
+        # the common power 2^(14000 * 13999) has 196 million bits; b^h has 14000
+        start = time.perf_counter()
+        verdict = distinguish_stabilized(2**14000, 2**13999)
+        assert time.perf_counter() - start < 0.1
+        assert (verdict.outcome, verdict.detail["j"], verdict.detail["k"]) == (
+            "isomorphic", 13999, 14000)
+
     def test_bad_outcome_rejected(self):
         with pytest.raises(ValueError):
             Verdict("maybe", "x", {})

@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -106,3 +107,16 @@ def test_every_import_in_the_package_is_used():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
     assert unused == []
+
+
+def test_every_exception_class_is_a_value_error():
+    # cli.run maps the ValueError family to exit 1 or 2, so a class outside
+    # it would escape the mapping and print a traceback
+    classes = []
+    for info in pkgutil.iter_modules(stabaut.__path__):
+        module = importlib.import_module(f"stabaut.{info.name}")
+        classes += [obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__]
+    assert len(classes) >= 11
+    assert [cls.__qualname__ for cls in classes if not issubclass(cls, ValueError)] == []

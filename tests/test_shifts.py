@@ -242,6 +242,13 @@ class TestFactorizer:
     def test_huge_power(self):
         assert prime_exponents(10**400) == ((2, 5), (400, 400))
 
+    @given(st.dictionaries(st.sampled_from([2, 3, 5, 7, 997]), st.integers(1, 300), min_size=1))
+    def test_high_powers_of_small_primes(self, exps):
+        # trial division peels p, p^2, p^4, ...: every exponent must still add up
+        primes = sorted(exps)
+        n = math.prod(p ** exps[p] for p in primes)
+        assert prime_exponents(n) == (tuple(primes), tuple(exps[p] for p in primes))
+
     @given(st.integers(2, 10**6))
     def test_matches_trial_division(self, n):
         assert prime_exponents(n) == trial_division_exponents(n)
