@@ -20,8 +20,10 @@ slots lo .. lo+w-1 is a constant plus an arange over the free slots it
 covers: a sub-window is a reshape, and a table read of it is one
 contiguous table slice broadcast over the chunk (WindowChunk.take), with
 no division and no per-window gather.  Chunks keep peak RSS bounded at
-any radius.  Index arrays that are not a window walk (the structure
-probes, block images, the census prefilter) are read through
+any radius.  Every whole-window comparison of table reads (equals,
+commutation with shift powers, the structure checks) is one walk, _same,
+which stops at the first chunk that differs.  Index arrays that are not
+a window walk (block images, the census prefilter) are read through
 
     subwindow(idx, n, width, lo, w) = (idx // n^(width-lo-w)) % n^w
 
@@ -146,18 +148,18 @@ def _widen(vector: np.ndarray, n: int, left: int, right: int) -> np.ndarray:
     return np.tile(np.repeat(vector, n**right), n**left)
 
 
-# window indices probed before an exact pass, so that a table without
-# the structure is rejected in microseconds
-_PROBE_STEPS = np.arange(1, 9, dtype=np.int64) * 2654435761
-
-
-def _agrees(table: np.ndarray, n: int, width: int, image: np.ndarray, lo: int, w: int) -> bool:
-    """At every window, table equals image at the sub-window lo .. lo+w-1:
-    at a few probe windows first, then chunk by chunk (the pass runs while
-    the caller's tables are alive)."""
-    probes = _PROBE_STEPS % table.size
-    return np.array_equal(table[probes], image[subwindow(probes, n, width, lo, w)]) and all(
-        (ch.take(table) == ch.take(image, lo, w)).all() for ch in window_chunks(n, width))
+def _same(n: int, width: int, pairs, sft: SftMatrix | None = None) -> bool:
+    """Whether the two (table, lo, w) reads of each pair in `pairs` give the
+    same letter at every window of `width` letters, or at every path of
+    `sft` given one.  The walk stops at the first chunk that differs."""
+    off = None if sft is None else _off_sft(n, sft)  # refuses a mismatch before the walk
+    for ch in window_chunks(n, width):
+        skip = None if off is None else off(ch)
+        for a, b in pairs:
+            same = ch.take(*a) == ch.take(*b)
+            if not (same if skip is None else same | skip).all():
+                return False
+    return True
 
 
 def _derive_shift(n: int, radius: int, tables) -> int | None:
@@ -165,8 +167,8 @@ def _derive_shift(n: int, radius: int, tables) -> int | None:
     width = 2 * radius + 1
     # the window with a single 1 at slot s reads 1 exactly when s = radius + j
     hits = np.flatnonzero(tables[0][n ** np.arange(width - 1, -1, -1)] == 1) if n > 1 else [radius]
-    if (len(hits) == 1 and all(np.array_equal(t, tables[0]) for t in tables)
-            and _agrees(tables[0], n, width, np.arange(n), int(hits[0]), 1)):
+    if len(hits) == 1 and _same(n, width, [((t, 0, width), (np.arange(n), int(hits[0]), 1))
+                                           for t in tables]):
         return int(hits[0]) - radius
     return None
 
@@ -191,7 +193,7 @@ def _derive_block_map(n: int, k: int, radius: int, tables, shift_by) -> tuple[in
         lo, hi = max(0, radius - c), min(width, radius - c + k)
         # t at the windows with every slot outside lo .. hi-1 set to 0
         image = t[: n ** (width - lo): n ** (width - hi)]
-        if not _agrees(t, n, width, image, lo, hi - lo):
+        if not _same(n, width, [((t, 0, width), (image, lo, hi - lo))]):
             return None
         images = images * n + image[subwindow(blocks, n, k, lo - radius + c, hi - lo)]
     return tuple(images.tolist()) if np.bincount(images, minlength=n**k).min() == 1 else None
@@ -426,14 +428,9 @@ def equals(f: StabilizedCode, g: StabilizedCode, sft: SftMatrix | None = None) -
     if (f.period, f.radius) != (g.period, g.radius):
         _check_size(n, radius, period)
     # class c of h reads table c mod k_h at slots R - r_h .. R + r_h
-    reads = [[(h.tables[c % h.period], radius - h.radius, 2 * h.radius + 1) for h in (f, g)]
-             for c in range(period)]
-    chunks = window_chunks(n, 2 * radius + 1)
-    if sft is None:
-        return all((ch.take(*a) == ch.take(*b)).all() for ch in chunks for a, b in reads)
-    off = _off_sft(n, sft)  # refuses an alphabet mismatch before the walk
-    return all(((ch.take(*a) == ch.take(*b)) | skip).all()
-               for ch in chunks for skip in [off(ch)] for a, b in reads)
+    return _same(n, 2 * radius + 1, [
+        tuple((h.tables[c % h.period], radius - h.radius, 2 * h.radius + 1) for h in (f, g))
+        for c in range(period)], sft)
 
 
 def commutes_with_shift_power(code: StabilizedCode, m: int, sft: SftMatrix | None = None) -> bool:
@@ -441,17 +438,15 @@ def commutes_with_shift_power(code: StabilizedCode, m: int, sft: SftMatrix | Non
 
     Conjugating by shift^m moves the position class by m, and refined to
     period lcm(k, m) class c reads table c mod k, so commutation is
-    tables[c] == tables[(c + m) mod k] for c < k, read in place: no budget
-    applies beyond the one the tables met, whatever m is.  With `sft`,
-    equals compares the code with its classes moved by m on that shift.
+    tables[c] == tables[(c + m) mod k] for c < k, read in place (at the
+    paths of `sft` given one): no budget applies beyond the one the tables
+    met, whatever m is.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    k = code.period
-    if sft is not None:
-        moved = code.tables[m % k:] + code.tables[:m % k]
-        return equals(code, StabilizedCode(code.n, k, code.radius, moved), sft)
-    return all(np.array_equal(code.tables[c], code.tables[(c + m) % k]) for c in range(k))
+    k, width = code.period, 2 * code.radius + 1
+    return _same(code.n, width, [((code.tables[c], 0, width), (code.tables[(c + m) % k], 0, width))
+                                 for c in range(k)], sft)
 
 
 def verify_inverse_pair(f: StabilizedCode, g: StabilizedCode) -> bool:

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import Automorphism, window_chunks
-from .shifts import _power_exceeds, prime_factors
+from .codes import MAX_TABLE_ENTRIES, Automorphism, CodeSizeExceeded, window_chunks
+from .shifts import _power_exceeds, prime_exponents, prime_factors
 
 
 class MultiplierNotSupported(ValueError):
@@ -81,15 +81,13 @@ class RayCount:
         return Fraction(self.count, q**self.m)
 
 
-RAY_ENUMERATION_BUDGET = 40_000_000
-
-
 def ray_image_count(aut: Automorphism, tail_letter: int = 0) -> RayCount:
     """Count distinct outputs on (-r, m] over all extensions of a constant tail.
 
     The input ranges over all points with x_i = tail_letter for i <= 0
     and free letters at 1 .. m + r, where r and s are the forward and
-    inverse radii and m = r + s.
+    inverse radii and m = r + s.  The q^(m + r) extensions are refused
+    past the table budget before anything is allocated.
     """
     code = aut.forward
     q = code.n
@@ -102,10 +100,9 @@ def ray_image_count(aut: Automorphism, tail_letter: int = 0) -> RayCount:
     free = m + r
     if free == 0:
         return RayCount(0, 1)
-    if _power_exceeds(q, free, RAY_ENUMERATION_BUDGET):
-        raise MultiplierNotSupported(
-            f"{q}^{free} ray extensions exceed the enumeration budget"
-        )
+    if _power_exceeds(q, free, MAX_TABLE_ENTRIES):
+        raise CodeSizeExceeded(
+            f"{q}^{free} ray extensions exceed the exact-check budget of {MAX_TABLE_ENTRIES}")
     # the walk runs over the free letters at positions 1..free; a window
     # reaching back to position <= 0 starts with t tail letters, so it is
     # read from the table slice that those letters select
@@ -135,22 +132,11 @@ def dimension_multiplier(aut: Automorphism) -> ExponentVector:
     if len(mults) != 1:
         raise MultiplierNotSupported("ray count depends on the tail letter")
     value = mults.pop()
-    num, den = value.numerator, value.denominator
-    exponents = []
-    for p in primes:
-        e = 0
-        while num % p == 0:
-            num //= p
-            e += 1
-        while den % p == 0:
-            den //= p
-            e -= 1
-        exponents.append(e)
-    if num != 1 or den != 1:
-        raise MultiplierNotSupported(
-            f"multiplier {value} is not supported on the primes of {q}"
-        )
-    return ExponentVector(primes, tuple(exponents))
+    num, den = (dict(zip(*prime_exponents(x))) if x > 1 else {}
+                for x in (value.numerator, value.denominator))
+    if not set(num) | set(den) <= set(primes):
+        raise MultiplierNotSupported(f"multiplier {value} is not supported on the primes of {q}")
+    return ExponentVector(primes, tuple(num.get(p, 0) - den.get(p, 0) for p in primes))
 
 
 def is_inert(aut: Automorphism) -> bool:

@@ -202,24 +202,25 @@ def recode_to_power(phi: Automorphism, k: int | None = None) -> Automorphism:
     k = base if k is None else k
     if k % base != 0:
         raise ValueError(f"k must be a multiple of the period {base}")
-    fwd = _recode_code(phi.forward.refine(k, phi.forward.radius))
-    inv = _recode_code(phi.inverse.refine(k, phi.inverse.radius))
-    return Automorphism(fwd, inv)
+    return Automorphism(_recode_code(phi.forward, k), _recode_code(phi.inverse, k))
 
 
-def _recode_code(code: StabilizedCode) -> StabilizedCode:
-    """The period-k code as a period-1 code over A^k.
+def _recode_code(code: StabilizedCode, k: int) -> StabilizedCode:
+    """The code, of a period dividing k, as a period-1 code over A^k.
 
     A window of 2*big_r+1 blocks has the same index as the window of its
     (2*big_r+1)*k letters, which span absolute positions -big_r*k ..
-    (big_r+1)*k - 1; output letter c reads the letters around position c.
+    (big_r+1)*k - 1; output letter c reads the letters around position c,
+    through table c mod period.  The budget is checked before n^k is.
     """
-    n, k, r = code.n, code.period, code.radius
+    n, r = code.n, code.radius
     big_r = -(-(r + k - 1) // k)
     width = (2 * big_r + 1) * k
-    _check_size(n**k, big_r, 1)
+    if _power_exceeds(n, width, MAX_TABLE_ENTRIES):
+        raise CodeSizeExceeded(f"{n}^{width} recoded windows exceed the exact-check budget "
+                               f"of {MAX_TABLE_ENTRIES}")
     table = np.empty(n**width, dtype=_table_dtype(n**k))
-    reads = [(code.tables[c], big_r * k + c - r, 2 * r + 1) for c in range(k)]
+    reads = [(code.tables[c % code.period], big_r * k + c - r, 2 * r + 1) for c in range(k)]
     for ch in window_chunks(n, width):
         ch.take(table)[...] = ch.outputs(reads)
     return StabilizedCode(n**k, 1, big_r, (table,))

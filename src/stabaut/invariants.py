@@ -5,9 +5,9 @@ plus the finite matrix-group computations backing the rank-2 example.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
-from .shifts import VerificationFailed, _perfect_power, prime_factors
+from .shifts import VerificationFailed, _perfect_power, prime_exponents, prime_factors
 
 
 def omega(n: int) -> int:
@@ -51,16 +51,21 @@ def distinguish_stabilized(m: int, n: int) -> Verdict:
     Different prime-divisor counts force non-isomorphic abelianizations;
     a common power m^j = n^k makes the shifts rationally conjugate and
     the groups isomorphic; anything else is left open.  Each number is
-    factored once, for omega.  A common power exists iff m = b^h_m and
-    n = b^h_n share b, no perfect power; the least is m^(h_n/g) = n^(h_m/g).
-    The certificate, b^h_m == m and b^h_n == n, is at the size of the inputs.
+    factored once, and omega and its power structure read off the
+    exponents: a = b^h with h their gcd and b = prod p^(e/h), no perfect
+    power.  A common power exists iff m = b^h_m and n = b^h_n share b; the
+    least is m^(h_n/g) = n^(h_m/g).  The certificate, b^h_m == m and
+    b^h_n == n, is at the size of the inputs.
     """
     if m < 2 or n < 2:
         raise ValueError("need m, n >= 2")
-    om, on = omega(m), omega(n)
+    (pm, em), (pn, en) = prime_exponents(m), prime_exponents(n)
+    om, on = len(pm), len(pn)
     if om != on:
         return Verdict("distinguishable", "prime-divisor-count", {"omega_m": om, "omega_n": on})
-    (bm, hm), (bn, hn) = _perfect_power(m), _perfect_power(n)
+    hm, hn = gcd(*em), gcd(*en)
+    bm = prod(p ** (e // hm) for p, e in zip(pm, em))
+    bn = prod(p ** (e // hn) for p, e in zip(pn, en))
     if bm == bn:
         j, k = hn // gcd(hm, hn), hm // gcd(hm, hn)
         if bm**hm != m or bn**hn != n:

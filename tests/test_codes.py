@@ -430,12 +430,31 @@ class TestSmallChunks:
             assert commutes_with_shift_power(code, m, sft) == all(
                 np.array_equal(code.tables[c][idx], code.tables[(c + m) % k][idx]) for c in range(k))
 
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(small_sfts(), st.data())
+    def test_commutes_against_the_moved_code(self, small_chunk, sft, data):
+        # the oracle: equality with the code whose classes are moved by m
+        n = sft.edge_count
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        r = data.draw(st.integers(0, 2))
+        pool = [rng.integers(0, n, n ** (2 * r + 1)) for _ in range(2)]
+        pattern = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
+        code = StabilizedCode(n, len(pattern), r, tuple(pool[p] for p in pattern))
+        if data.draw(st.booleans()):
+            code = with_entry_changed(code, data.draw(st.integers(0, code.period - 1)),
+                                      data.draw(st.integers(0, n ** (2 * r + 1) - 1)))
+        k = code.period
+        for m in range(1, 6):
+            moved = StabilizedCode(n, k, r, code.tables[m % k:] + code.tables[:m % k])
+            for on in (None, sft):
+                assert commutes_with_shift_power(code, m, on) == equals(code, moved, on)
+
     def test_structure_is_read_over_every_window(self, small_chunk):
         shift = shift_power(5, -2).forward
         block = symbol_permutation(2, 3, Permutation((3, 0, 1, 2, 7, 4, 5, 6))).forward
         assert StabilizedCode(5, 1, 2, shift.tables).shift_by == -2
         assert StabilizedCode(2, 3, 2, block.tables).block_map == (3, 0, 1, 2, 7, 4, 5, 6)
-        # one entry changed where no probe looks: only the full pass sees it
         for code in (shift, block):
             size = code.tables[0].size
             probed = set((np.arange(1, 9) * 2654435761 % size).tolist())
@@ -621,6 +640,24 @@ class TestStructureChecked:
         with pytest.raises(CodeSizeExceeded):
             build()
         assert time.perf_counter() - start < 0.01
+
+
+    def test_a_dense_code_is_rejected_in_the_first_chunk(self, monkeypatch):
+        # 5-letter (4, 4) tables: 25 chunks of 5^7 windows.  Table 0 reads 1
+        # at one single-1 window, so the shift check walks too
+        rng = np.random.default_rng(9)
+        tables = [rng.integers(0, 5, 5**9, dtype=np.int16) for _ in range(4)]
+        tables[0][5 ** np.arange(9)] = np.arange(9) == 4
+        prefixes = []
+        take = stabaut.codes.WindowChunk.take
+        def counted(ch, *args):
+            prefixes.append(ch.prefix)
+            return take(ch, *args)
+        monkeypatch.setattr(stabaut.codes.WindowChunk, "take", counted)
+        code = StabilizedCode(5, 4, 4, tuple(tables))
+        assert (code.shift_by, code.block_map) == (None, None)
+        # two reads for the shift check, two for class 0 of the block check
+        assert prefixes == [0, 0, 0, 0]
 
 
 class TestTableValidation:
@@ -893,6 +930,16 @@ class TestCommutesWithShiftPower:
         assert commutes_with_shift_power(FLIP_ON_EVEN, 10**9)
         assert not commutes_with_shift_power(FLIP_ON_EVEN, 10**9 + 1)
         assert time.perf_counter() - start < 0.1
+
+    def test_sft_form_builds_no_code(self, monkeypatch):
+        built = []
+        init = StabilizedCode.__post_init__
+        monkeypatch.setattr(StabilizedCode, "__post_init__",
+                            lambda code: built.append(code) or init(code))
+        full = SftMatrix.full_shift(2)
+        assert commutes_with_shift_power(FLIP_ON_EVEN, 2, full)
+        assert not commutes_with_shift_power(FLIP_ON_EVEN, 1, full)
+        assert built == []
 
     def test_own_period_always_commutes(self):
         for code in (FLIP, SIGMA, FLIP_ON_EVEN, compose(FLIP_ON_EVEN, SIGMA)):

@@ -7,9 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabaut.codes import Automorphism, StabilizedCode, aut_commutator, aut_compose
+import stabaut.dimrep
+from stabaut.codes import (
+    Automorphism,
+    CodeSizeExceeded,
+    StabilizedCode,
+    aut_commutator,
+    aut_compose,
+)
 from stabaut.dimrep import (
     ExponentVector,
+    MultiplierNotSupported,
+    RayCount,
     dimension_multiplier,
     is_inert,
     ray_image_count,
@@ -181,6 +190,35 @@ class TestDimensionMultiplier:
         assert dimension_multiplier(second).exponents == (0, 1)
         both = aut_compose(first, second)
         assert dimension_multiplier(both) == dimension_multiplier(shift_power(6, 1))
+
+
+    def test_a_prime_outside_the_alphabet_is_refused(self, monkeypatch):
+        monkeypatch.setattr(stabaut.dimrep, "ray_image_count", lambda aut, tail: RayCount(1, 7))
+        with pytest.raises(MultiplierNotSupported, match="7/2 is not supported on the primes of 2"):
+            dimension_multiplier(flip(2))
+
+    def test_a_count_that_depends_on_the_tail_is_refused(self, monkeypatch):
+        monkeypatch.setattr(stabaut.dimrep, "ray_image_count",
+                            lambda aut, tail: RayCount(1, 2 + tail))
+        with pytest.raises(MultiplierNotSupported, match="depends on the tail letter"):
+            dimension_multiplier(flip(2))
+
+
+class TestRayCountBudget:
+    def test_past_the_table_budget(self):
+        # 5^12 extensions for shift^4: refused before the seen array is made
+        with pytest.raises(CodeSizeExceeded, match="5\\^12 ray extensions"):
+            ray_image_count(shift_power(5, 4))
+
+    def test_the_budget_is_the_table_budget(self, monkeypatch):
+        # shift over 2 letters walks 2^3 extensions
+        monkeypatch.setattr(stabaut.dimrep, "MAX_TABLE_ENTRIES", 8)
+        assert ray_image_count(shift_power(2, 1)) == RayCount(2, 8)
+        monkeypatch.setattr(stabaut.dimrep, "MAX_TABLE_ENTRIES", 7)
+        with pytest.raises(CodeSizeExceeded):
+            ray_image_count(shift_power(2, 1))
+        with pytest.raises(CodeSizeExceeded):
+            dimension_multiplier(shift_power(2, 1))
 
 
 class TestIsInert:

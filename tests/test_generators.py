@@ -374,7 +374,7 @@ class TestRecodeToPower:
         rng = np.random.default_rng(seed)
         code = StabilizedCode(n, k, radius, tuple(
             rng.integers(0, n, n ** (2 * radius + 1)) for _ in range(k)))
-        recoded = _recode_code(code)
+        recoded = _recode_code(code, k)
         for _ in range(3):
             length = k * data.draw(st.integers(1, 3))
             block = data.draw(st.lists(st.integers(0, n - 1), min_size=length, max_size=length))
@@ -387,12 +387,31 @@ class TestRecodeToPower:
         rng = np.random.default_rng(n)
         code = StabilizedCode(n, k, radius, tuple(
             rng.integers(0, n, n ** (2 * radius + 1)) for _ in range(k)))
-        recoded = _recode_code(code)
+        recoded = _recode_code(code, k)
         letters = random.Random(n)
         for length in (k, 2 * k, 3 * k):
             x = PeriodicPoint(tuple(letters.choices(range(n), k=length)))
             y = apply_to_periodic(code, x)
             assert apply_to_periodic(recoded, blocks(x, length, n, k)) == blocks(y, length, n, k)
+
+    @pytest.mark.parametrize("n, period, k, radius",
+                             [(2, 1, 2, 1), (2, 2, 4, 1), (3, 1, 2, 1), (3, 2, 2, 0)])
+    def test_reads_classes_modulo_the_period(self, small_chunk, n, period, k, radius):
+        rng = np.random.default_rng(k)
+        code = StabilizedCode(n, period, radius, tuple(
+            rng.integers(0, n, n ** (2 * radius + 1)) for _ in range(period)))
+        assert equals(_recode_code(code, k), _recode_code(code.refine(k, radius), k))
+
+    def test_recode_refines_nothing(self, monkeypatch):
+        calls = []
+        refine = StabilizedCode.refine
+        monkeypatch.setattr(StabilizedCode, "refine",
+                            lambda code, *args: calls.append(args) or refine(code, *args))
+        recoded = recode_to_power(flip_on_even(2), 4)
+        assert calls == []
+        # block (a, b, c, d) -> (flip a, b, flip c, d)
+        want = symbol_permutation(16, 1, Permutation(tuple(i ^ 0b1010 for i in range(16))))
+        assert aut_equals(recoded, want)
 
     def test_homomorphism_on_samples(self):
         pool = [flip(2), shift_power(2, 1), flip_on_even(2), shift_power(2, -1)]

@@ -159,8 +159,8 @@ class TestDistinguishStabilized:
         # equal omega counts, so the certificate is sought too, from the
         # power structure and not from a second factorization
         calls = []
-        factor = stabaut.shifts.prime_exponents
-        monkeypatch.setattr(stabaut.shifts, "prime_exponents",
+        factor = stabaut.invariants.prime_exponents
+        monkeypatch.setattr(stabaut.invariants, "prime_exponents",
                             lambda n: calls.append(n) or factor(n))
         m, n = (2**34 + 25) * (2**35 + 53), (2**33 + 17) * (2**36 + 31)
         verdict = distinguish_stabilized(m, n)
@@ -185,13 +185,14 @@ class TestDistinguishStabilized:
 
     def test_failed_certificate_raises_verification_failed(self, monkeypatch):
         # a forged common base for 3 and 5: the identity 3^1 == 5^1 fails
-        monkeypatch.setattr(stabaut.invariants, "_perfect_power", lambda a: (2, 1))
+        monkeypatch.setattr(stabaut.invariants, "prime_exponents", lambda a: ((2,), (1,)))
         with pytest.raises(VerificationFailed, match="common power"):
             distinguish_stabilized(3, 5)
 
     def test_forged_exponent_raises_verification_failed(self, monkeypatch):
         # the right base with a wrong exponent for 8: 2^4 != 8
-        monkeypatch.setattr(stabaut.invariants, "_perfect_power", {4: (2, 2), 8: (2, 4)}.get)
+        monkeypatch.setattr(stabaut.invariants, "prime_exponents",
+                            {4: ((2,), (2,)), 8: ((2,), (4,))}.get)
         with pytest.raises(VerificationFailed, match="common power"):
             distinguish_stabilized(4, 8)
 
@@ -202,6 +203,20 @@ class TestDistinguishStabilized:
         assert time.perf_counter() - start < 0.1
         assert (verdict.outcome, verdict.detail["j"], verdict.detail["k"]) == (
             "isomorphic", 13999, 14000)
+
+    def test_power_structure_is_read_off_the_factorization(self, monkeypatch):
+        # one prime_exponents call per number: one _trial_divide of the number
+        # and one _perfect_power of its cofactor, which trial-divides it again
+        calls = {"_trial_divide": 0, "_perfect_power": 0}
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(stabaut.shifts, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(stabaut.shifts, name, counted)
+        verdict = distinguish_stabilized(2**14000, 2**13999)
+        assert (verdict.outcome, verdict.detail["j"], verdict.detail["k"]) == (
+            "isomorphic", 13999, 14000)
+        assert calls == {"_trial_divide": 4, "_perfect_power": 2}
 
     def test_bad_outcome_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import importlib
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -107,6 +108,25 @@ def test_every_import_in_the_package_is_used():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
     assert unused == []
+
+
+def test_every_module_constant_is_read():
+    # an upper-case name assigned at a module's top level must be read in
+    # that module, so that a deleted path leaves no dead budget or table
+    constants, unread = [], []
+    for path in sorted((SRC / "stabaut").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            names = [t.id for t in targets if isinstance(t, ast.Name)
+                     and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)]
+            constants += names
+            unread += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
+    assert len(constants) >= 10
+    assert unread == []
 
 
 def test_every_exception_class_is_a_value_error():
