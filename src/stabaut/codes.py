@@ -52,6 +52,8 @@ from .shifts import (
 # operation is willing to materialize.  Exceeding it raises rather than
 # silently degrading exactness.
 MAX_TABLE_ENTRIES = 60_000_000
+# Most candidate table tuples the census enumerates.
+CENSUS_BUDGET = 200_000
 
 
 class CodeSizeExceeded(ValueError):
@@ -59,7 +61,7 @@ class CodeSizeExceeded(ValueError):
 
 
 class BudgetExceeded(ValueError):
-    """An enumeration would exceed its configured candidate budget."""
+    """An enumeration would exceed its candidate budget."""
 
 
 def _table_dtype(n: int):
@@ -153,7 +155,7 @@ def _same(n: int, width: int, pairs, sft: SftMatrix | None = None) -> bool:
     same letter at every window of `width` letters, or at every path of
     `sft` given one.  The walk stops at the first chunk that differs."""
     off = None if sft is None else _off_sft(n, sft)  # refuses a mismatch before the walk
-    for ch in window_chunks(n, width):
+    for ch in window_chunks(n, width) if pairs else ():
         skip = None if off is None else off(ch)
         for a, b in pairs:
             same = ch.take(*a) == ch.take(*b)
@@ -439,14 +441,14 @@ def commutes_with_shift_power(code: StabilizedCode, m: int, sft: SftMatrix | Non
     Conjugating by shift^m moves the position class by m, and refined to
     period lcm(k, m) class c reads table c mod k, so commutation is
     tables[c] == tables[(c + m) mod k] for c < k, read in place (at the
-    paths of `sft` given one): no budget applies beyond the one the tables
-    met, whatever m is.
+    paths of `sft` given one), and a class that m fixes is not read: no
+    budget applies beyond the one the tables met, whatever m is.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     k, width = code.period, 2 * code.radius + 1
     return _same(code.n, width, [((code.tables[c], 0, width), (code.tables[(c + m) % k], 0, width))
-                                 for c in range(k)], sft)
+                                 for c in range(k) if (c + m) % k != c], sft)
 
 
 def verify_inverse_pair(f: StabilizedCode, g: StabilizedCode) -> bool:
@@ -572,33 +574,29 @@ def find_inverse(code: StabilizedCode, max_radius: int) -> StabilizedCode | None
     return None
 
 
-def enumerate_automorphisms(n: int, r: int, k: int, budget: int = 200_000) -> list[Automorphism]:
+def enumerate_automorphisms(n: int, r: int, k: int) -> list[Automorphism]:
     """Exhaustive census of invertible codes of the given shape.
 
     Every code with period k and radius r whose inverse has radius at
     most 2r is returned with that inverse, in the canonical order of the
-    table-index tuples.
+    table-index tuples, for shapes of at most CENSUS_BUDGET candidates.
     """
     if n < 1 or r < 0 or k < 1:
         raise ValueError(f"bad census shape: need n >= 1, r >= 0, k >= 1, got {n}, {r}, {k}")
     # n^(w*k) candidates for w = n^(2r+1) windows; w*k is tested by bit length first
-    if (n > 1 and _power_exceeds(n, 2 * r + 1, budget.bit_length(), k)
-            or _power_exceeds(n, window_count(n, r) * k, budget)):
+    if (n > 1 and _power_exceeds(n, 2 * r + 1, CENSUS_BUDGET.bit_length(), k)
+            or _power_exceeds(n, window_count(n, r) * k, CENSUS_BUDGET)):
         raise BudgetExceeded(
-            f"{n}^(w*{k}) candidates for w = {n}^{2 * r + 1} windows exceed budget {budget}")
+            f"{n}^(w*{k}) candidates for w = {n}^{2 * r + 1} windows exceed budget {CENSUS_BUDGET}")
     # over one letter there is one candidate whatever the shape, but the prefilter
-    # walks points of max(k, 2r + 1) letters; over more, the check above bounds those
-    if max(k, 2 * r + 1) > budget.bit_length():
+    # walks points of at least max(k, 2r + 1) letters; over more, the check above bounds those
+    if max(k, 2 * r + 1) > CENSUS_BUDGET.bit_length():
         raise BudgetExceeded(f"periodic points of {max(k, 2 * r + 1)} letters exceed the "
-                             f"{budget.bit_length()} that budget {budget} allows")
+                             f"{CENSUS_BUDGET.bit_length()} that budget {CENSUS_BUDGET} allows")
     w = window_count(n, r)
-    survivors = _bijective_on_periodics(n, r, k)
     out = []
-    for tbl_indices in survivors:
-        tables = tuple(
-            np.array(index_to_block(n, w, ti), dtype=_table_dtype(n))
-            for ti in tbl_indices
-        )
+    for combo in _bijective_on_periodics(n, r, k):
+        tables = tuple(np.array(index_to_block(n, w, t), dtype=_table_dtype(n)) for t in combo)
         code = StabilizedCode(n, k, r, tables)
         inv = find_inverse(code, 2 * r)
         if inv is not None:
@@ -612,16 +610,22 @@ def _bijective_on_periodics(n: int, r: int, k: int) -> list[tuple[int, ...]]:
 
     A cheap exact prefilter: an invertible code permutes the points of
     each period, so any candidate failing to permute P_L is discarded
-    before the inverse search.  The tuples are walked by their index
-    (C order, so candidates come out in ascending canonical order) in
-    batches of WINDOW_CHUNK // n^L tuples, at least one: a batch sums the
-    rows of `partial` its tuples pick, sorts each row and keeps the rows
-    equal to the identity, so it holds at most max(WINDOW_CHUNK, n^L)
-    entries whatever the shape.
+    before the inverse search.  L is the least multiple of k longer than
+    a window.  At r = 0 every multiple of k keeps the same tuples, those
+    whose tables each permute the letters; at r = 1, L = 3 would keep 36
+    tuples of census (2, 1, 1), not 8, and take it from 0.5 to 2.1 ms.
+    `partial`, k * n^w * n^L entries, is refused past MAX_TABLE_ENTRIES
+    before it is allocated.  Tuples are walked by index (C order, so in
+    ascending canonical order) in batches of WINDOW_CHUNK // n^L, at
+    least one: a batch sums the rows of `partial` its tuples pick, sorts
+    each row and keeps the rows equal to the identity.
     """
     w = window_count(n, r)
     per_table = n**w
-    length = -(-max(2 * r + 1, 4) // k) * k  # the least multiple of k of at least that
+    length = -(-(2 * r + 2) // k) * k  # the least multiple of k of at least 2r + 2
+    if _power_exceeds(n, w + length, MAX_TABLE_ENTRIES, k):
+        raise CodeSizeExceeded(f"{k} prefilter tables of {n}^{w + length} entries exceed "
+                               f"the exact-check budget of {MAX_TABLE_ENTRIES}")
     idx = np.arange(n**length, dtype=np.int64)
     tidx = np.arange(per_table, dtype=np.int64)[:, None]
     # partial contribution of each table choice per residue class: the

@@ -26,6 +26,8 @@ from functools import cached_property
 from .shifts import VerificationFailed, prime_factors
 
 MAX_GROUP_DEGREE = 64
+# Largest group order whose elements are listed one by one.
+ELEMENT_LIMIT = 250_000
 
 
 class DegreeBudgetExceeded(ValueError):
@@ -361,10 +363,10 @@ class GroupHandle:
     def contains(self, g: Permutation) -> bool:
         return g.degree == self.degree and self._sift(g, *self._chain).is_identity()
 
-    def elements(self, limit: int = 250_000) -> list[Permutation]:
-        """All elements, sorted by image tuple, if the order fits the limit."""
-        if self.order() > limit:
-            raise DegreeBudgetExceeded(f"order {self.order()} exceeds element limit {limit}")
+    def elements(self) -> list[Permutation]:
+        """All elements, sorted by image tuple, if the order fits ELEMENT_LIMIT."""
+        if (order := self.order()) > ELEMENT_LIMIT:
+            raise DegreeBudgetExceeded(f"order {order} exceeds element limit {ELEMENT_LIMIT}")
         ident = Permutation.identity(self.degree)
         seen = {ident.images}
         out = [ident]
@@ -506,9 +508,8 @@ def _coset_rep(x: Permutation, kernel) -> Permutation:
     return min((x * k for k in kernel), key=lambda p: p.images)
 
 
-def goursat_decompose(
-    generators: list[Permutation], size1: int, size2: int, budget: int = 250_000
-) -> GoursatDecomposition:
+def goursat_decompose(generators: list[Permutation], size1: int,
+                      size2: int) -> GoursatDecomposition:
     """Goursat data of the subgroup generated inside Sym(X1) x Sym(X2).
 
     Generators act on the disjoint union {0..size1-1} | {size1..} and
@@ -524,7 +525,7 @@ def goursat_decompose(
         if any(g(x) >= size1 for x in pts1):
             raise ValueError("generators must preserve the two factors")
     group = GroupHandle(generators, degree=degree)
-    elements = group.elements(limit=budget)
+    elements = group.elements()
     pairs = [(_restrict(g, pts1), _restrict(g, pts2)) for g in elements]
     h1 = sorted({a for a, _ in pairs}, key=lambda p: p.images)
     h2 = sorted({b for _, b in pairs}, key=lambda p: p.images)

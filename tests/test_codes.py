@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import stabaut.codes
 from stabaut.codes import (
+    CENSUS_BUDGET,
     MAX_TABLE_ENTRIES,
     WINDOW_CHUNK,
     Automorphism,
@@ -945,6 +946,23 @@ class TestCommutesWithShiftPower:
         for code in (FLIP, SIGMA, FLIP_ON_EVEN, compose(FLIP_ON_EVEN, SIGMA)):
             assert commutes_with_shift_power(code, code.period)
 
+    def test_multiple_of_the_period_reads_no_table(self, monkeypatch):
+        # at m = 0 mod k every class maps to itself, so no code table is read,
+        # with or without an SFT, and an SFT over other letters is still refused
+        f = seeded_code(3, 3, 4, 2)
+        reads = []
+        take = stabaut.codes.WindowChunk.take
+        def counted(ch, table, *args):
+            reads.append(table.dtype != bool)
+            return take(ch, table, *args)
+        monkeypatch.setattr(stabaut.codes.WindowChunk, "take", counted)
+        for m in (4, 8, 4 * 10**9):
+            assert commutes_with_shift_power(f, m) and commutes_with_shift_power(f, m, GOLDEN_MEAN)
+        assert reads == []
+        with pytest.raises(ValueError, match="alphabet mismatch: 3 letters, 2 SFT edges"):
+            commutes_with_shift_power(f, 4, SftMatrix.full_shift(2))
+        assert not commutes_with_shift_power(f, 1) and sum(reads) >= 2
+
 
 class TestInversePairs:
     def test_flip_self_inverse(self):
@@ -1112,17 +1130,65 @@ class TestEnumerate:
             assert any(equals(a.forward, want.forward) for a in auts)
 
     def test_budget(self):
-        with pytest.raises(Exception):
-            enumerate_automorphisms(3, 2, 2, budget=10)
+        with pytest.raises(BudgetExceeded, match=f"exceed budget {CENSUS_BUDGET}"):
+            enumerate_automorphisms(3, 2, 2)
 
-    @pytest.mark.parametrize("n, r, k, budget", [
-        (3, 2, 2, 10), (100, 3, 3, 200_000), (2, 10**9, 1, 200_000),
+    @pytest.mark.parametrize("n, r, k", [
+        (3, 2, 2), (100, 3, 3), (2, 10**9, 1), (2, 0, 9), (7, 0, 1),
     ])
-    def test_budget_refused_before_any_power(self, n, r, k, budget):
+    def test_budget_refused_before_any_power(self, n, r, k):
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded, match=re.escape(f"{n}^(w*{k}) candidates")):
-            enumerate_automorphisms(n, r, k, budget=budget)
+            enumerate_automorphisms(n, r, k)
         assert time.perf_counter() - start < 0.1
+
+    ADMITTED = {(2, 0, k) for k in range(1, 9)} | {(3, 0, k) for k in (1, 2, 3)} | {
+        (2, 1, 1), (2, 1, 2), (4, 0, 1), (4, 0, 2), (5, 0, 1), (6, 0, 1)}
+
+    def test_admitted_domain(self):
+        # the budget admits 17 shapes over two letters or more; at radius 0 the
+        # census is the k-tuples of letter permutations, each inverted at radius 0
+        admitted = set()
+        for n, r, k in itertools.product(range(2, 9), range(3), range(1, 19)):
+            try:
+                auts = enumerate_automorphisms(n, r, k)
+            except BudgetExceeded:
+                continue
+            admitted.add((n, r, k))
+            if r == 0:
+                combos = list(itertools.product(itertools.permutations(range(n)), repeat=k))
+                assert len(auts) == len(combos)
+                for aut, combo in zip(auts, combos):
+                    inverse = [tuple(np.argsort(p)) for p in combo]
+                    assert aut.forward.radius == aut.inverse.radius == 0
+                    assert [tuple(t) for t in aut.forward.tables] == list(combo)
+                    assert [tuple(t) for t in aut.inverse.tables] == inverse
+        assert admitted == self.ADMITTED
+        assert len(enumerate_automorphisms(2, 1, 1)) == 6
+        assert len(enumerate_automorphisms(2, 1, 2)) == 108
+
+    def test_largest_shape_memory(self):
+        # 6^6 tables over the 6^2 points of period 2; period 4 held 484 MB
+        tracemalloc.start()
+        try:
+            assert len(enumerate_automorphisms(6, 0, 1)) == 720
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_prefilter_refused_before_it_allocates(self, monkeypatch):
+        # (6, 0, 1) needs 6^8 prefilter entries, (5, 0, 1) 5^7
+        monkeypatch.setattr(stabaut.codes, "MAX_TABLE_ENTRIES", 10**6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CodeSizeExceeded, match=r"1 prefilter tables of 6\^8 entries"):
+                enumerate_automorphisms(6, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len(enumerate_automorphisms(5, 0, 1)) == 120
 
     @pytest.mark.parametrize("r, k", [(10**9, 1), (0, 10**30), (9, 1), (0, 19)])
     def test_one_letter_census_refuses_long_points(self, r, k):
@@ -1177,12 +1243,12 @@ class TestCensusPrefilter:
     def test_two_letter_radius_one_period_two(self):
         assert len(_bijective_on_periodics(2, 1, 2)) == 160
 
-    # a batch is WINDOW_CHUNK // n^L tuples: (2,0,3) has 64 tuples of 64
-    # entries, (3,0,2) has 9 of 81
+    # a batch is WINDOW_CHUNK // n^L tuples: (2,0,3) has 64 tuples of 8
+    # entries, (3,0,2) has 729 of 9
     @pytest.mark.parametrize("shape, chunk", [
         ((2, 0, 3), 1),  # one tuple a batch
-        ((3, 0, 2), 162),  # two a batch, the last batch partial
-        ((2, 0, 3), 1024),  # four full batches of 16
+        ((3, 0, 2), 18),  # two a batch, the last batch partial
+        ((2, 0, 3), 128),  # four full batches of 16
     ])
     def test_batch_edges(self, monkeypatch, shape, chunk):
         want = _bijective_on_periodics(*shape)
