@@ -2,8 +2,11 @@
 
 Files are canonical JSON: sorted keys, compact separators, integers
 only, one trailing newline.  Saving the same object twice produces
-identical bytes.  Exit codes: 0 success, 1 usage or input error, 2 a
-verification that should have succeeded failed.
+identical bytes.  `--out` and `--scheme-out` rewrite an existing file in
+place (same inode, same mode, symlinks followed) through `_write`, the one
+writer.  The write is not atomic, and never was: a crash can leave a torn
+file, and load refuses one.  Exit codes: 0 success, 1 usage or input error,
+2 a verification that should have succeeded failed.
 
 The commands re-check nothing the library checks: `StabilizedCode`
 validates a file's tables, `Automorphism` its inverse pair, and a failed
@@ -21,7 +24,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import stat
 import sys
 from typing import TYPE_CHECKING
 
@@ -108,9 +113,24 @@ def automorphism_from_dict(data: dict) -> Automorphism:
     return Automorphism(fwd, inv)
 
 
+def _write(path: str, text: str) -> None:
+    """Write `text` to `path` in place: same inode and mode, symlinks followed.
+
+    No O_TRUNC: on ext4 with `auto_da_alloc`, truncating a recently written
+    file to zero makes its close wait on writeback (about 50 ms a rewrite),
+    and so does a rename over it.  The file is cut at the written length
+    after the write instead, if it is a regular file (`/dev/null` refuses a
+    truncate).  Not atomic: a crash can leave a torn file, which load refuses.
+    """
+    data = text.encode()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(len(data))
+
+
 def save_automorphism(aut: Automorphism, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(canonical_json(automorphism_to_dict(aut)))
+    _write(path, canonical_json(automorphism_to_dict(aut)))
 
 
 def load_automorphism(path: str) -> Automorphism:
@@ -147,8 +167,7 @@ def scheme_from_dict(data: dict) -> MarkerScheme:
 
 
 def save_scheme(scheme: MarkerScheme, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(canonical_json(scheme_to_dict(scheme)))
+    _write(path, canonical_json(scheme_to_dict(scheme)))
 
 
 def load_scheme(path: str) -> MarkerScheme:
