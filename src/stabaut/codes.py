@@ -20,10 +20,14 @@ slots lo .. lo+w-1 is a constant plus an arange over the free slots it
 covers: a sub-window is a reshape, and a table read of it is one
 contiguous table slice broadcast over the chunk (WindowChunk.take), with
 no division and no per-window gather.  Chunks keep peak RSS bounded at
-any radius.  Every whole-window comparison of table reads (equals,
-commutation with shift powers, the structure checks) is one walk, _same,
-which stops at the first chunk that differs.  Index arrays that are not
-a window walk (block images, the census prefilter) are read through
+any radius.  Two kernels walk the chunks: _same, every whole-window
+comparison of table reads (equals, commutation with shift powers, the
+structure checks), which stops at the first chunk that differs; and
+_compose_walk, every image of one code read after another (compose, the
+dense inverse check, find_inverse's pinning).  Maps on words of
+sub-blocks and derived block images are built with _widen.  Digits of
+arbitrary index arrays (the images in from_block_permutation, the census
+prefilter) are read through
 
     subwindow(idx, n, width, lo, w) = (idx // n^(width-lo-w)) % n^w
 
@@ -72,17 +76,20 @@ def window_count(n: int, radius: int) -> int:
     return n ** (2 * radius + 1)
 
 
+def _check_entries(n: int, e: int, factor: int, what: str) -> None:
+    """Refuse factor * n^e entries past MAX_TABLE_ENTRIES, `what` naming
+    them: the one place a CodeSizeExceeded is raised."""
+    if _power_exceeds(n, e, MAX_TABLE_ENTRIES, factor):
+        raise CodeSizeExceeded(f"{what} exceed the exact-check budget of {MAX_TABLE_ENTRIES}")
+
+
 def _check_size(n: int, radius: int, period: int) -> None:
     """Refuse `period` tables of n^(2r+1) entries past the budget.  A check
     that reads tables in place (equals, find_inverse, the dense path of
     verify_inverse_pair) calls it with the shape it walks, so there the
     budget bounds windows walked, not bytes held."""
     width = 2 * radius + 1
-    if _power_exceeds(n, width, MAX_TABLE_ENTRIES, period):
-        raise CodeSizeExceeded(
-            f"{period} tables of {n}^{width} entries exceed the exact-check budget "
-            f"of {MAX_TABLE_ENTRIES}"
-        )
+    _check_entries(n, width, period, f"{period} tables of {n}^{width} entries")
 
 
 def subwindow(idx, n: int, width: int, lo: int, w: int):
@@ -146,8 +153,10 @@ def window_chunks(n: int, width: int):
 def _widen(vector: np.ndarray, n: int, left: int, right: int) -> np.ndarray:
     """The table over windows of left + w + right letters that reads
     `vector` at the w letters in the middle: each entry repeated over the
-    right letters, the whole tiled over the left ones, no index array."""
-    return np.tile(np.repeat(vector, n**right), n**left)
+    right letters, the whole tiled over the left ones, no index array.
+    The tiling repeats a leading axis: np.tile does the same with a Python
+    overhead that dominates on the small tables of the structure checks."""
+    return np.repeat(vector, n**right)[None].repeat(n**left, axis=0).reshape(-1)
 
 
 def _same(n: int, width: int, pairs, sft: SftMatrix | None = None) -> bool:
@@ -189,7 +198,6 @@ def _derive_block_map(n: int, k: int, radius: int, tables, shift_by) -> tuple[in
     if shift_by == 0:
         return tuple(range(n**k))
     width = 2 * radius + 1
-    blocks = np.arange(n**k, dtype=np.int64)
     images = np.zeros(n**k, dtype=np.int64)
     for c, t in enumerate(tables):
         lo, hi = max(0, radius - c), min(width, radius - c + k)
@@ -197,7 +205,8 @@ def _derive_block_map(n: int, k: int, radius: int, tables, shift_by) -> tuple[in
         image = t[: n ** (width - lo): n ** (width - hi)]
         if not _same(n, width, [((t, 0, width), (image, lo, hi - lo))]):
             return None
-        images = images * n + image[subwindow(blocks, n, k, lo - radius + c, hi - lo)]
+        # block slots lo - radius + c .. hi - 1 - radius + c are those window slots
+        images = images * n + _widen(image, n, lo - radius + c, k - hi + radius - c)
     return tuple(images.tolist()) if np.bincount(images, minlength=n**k).min() == 1 else None
 
 
@@ -319,24 +328,25 @@ def _structured(f: StabilizedCode, g: StabilizedCode) -> bool:
         and f.period == g.period and f.radius + g.radius >= f.period - 1)
 
 
-def _compose_walk(f: StabilizedCode, g: StabilizedCode):
-    """The dense f g's period lcm(k_f, k_g), its radius r_f + r_g, and a
-    generator of (chunk, class c, f(g(x)) at class c over the chunk) for
-    every chunk of its windows and every class.  The budget is checked
-    before anything is allocated."""
-    n, period, radius = f.n, lcm(f.period, g.period), f.radius + g.radius
+def _compose_walk(k: int, r: int, g: StabilizedCode):
+    """Period lcm(k, k_g), radius r + r_g, and a generator of (chunk, class
+    c, outer) over their windows for a period-k radius-r code read after g:
+    outer indexes the g-outputs class c reads, so the outer code's table
+    c mod k at outer is the image.  The budget is checked before anything
+    is allocated."""
+    n, period, radius = g.n, lcm(k, g.period), r + g.radius
     _check_size(n, radius, period)
-    # f at class c reads g's outputs at c - r_f .., the i-th from slots i ..
-    # i + 2r_g, and those depend on c mod k_g alone
-    reads = [[(g.tables[(rho - f.radius + i) % g.period], i, 2 * g.radius + 1)
-              for i in range(2 * f.radius + 1)] for rho in range(g.period)]
+    # class c reads g's outputs at c - r .., the i-th from slots i .. i + 2r_g,
+    # and those depend on c mod k_g alone
+    reads = [[(g.tables[(rho - r + i) % g.period], i, 2 * g.radius + 1)
+              for i in range(2 * r + 1)] for rho in range(g.period)]
 
     def walk():
         for ch in window_chunks(n, 2 * radius + 1):
             for rho in range(g.period):
                 outer = ch.outputs(reads[rho])
                 for c in range(rho, period, g.period):
-                    yield ch, c, f.tables[c % f.period][outer]
+                    yield ch, c, outer
     return period, radius, walk()
 
 
@@ -354,10 +364,10 @@ def compose(f: StabilizedCode, g: StabilizedCode) -> StabilizedCode:
         # compose the block permutations at radius period-1
         images = tuple(f.block_map[b] for b in g.block_map)
         return StabilizedCode.from_block_permutation(n, f.period, images)
-    period, radius, walk = _compose_walk(f, g)
+    period, radius, walk = _compose_walk(f.period, f.radius, g)
     tables = [np.empty(window_count(n, radius), dtype=_table_dtype(n)) for _ in range(period)]
-    for ch, c, values in walk:
-        ch.take(tables[c])[...] = values
+    for ch, c, outer in walk:
+        ch.take(tables[c])[...] = f.tables[c % f.period][outer]
     return StabilizedCode(n, period, radius, tuple(tables))
 
 
@@ -372,10 +382,7 @@ def compose_all(*codes: StabilizedCode) -> StabilizedCode:
 def code_power(code: StabilizedCode, m: int) -> StabilizedCode:
     if m < 1:
         raise ValueError("m must be >= 1")
-    out = code
-    for _ in range(m - 1):
-        out = compose(code, out)
-    return out
+    return compose_all(*(code,) * m)
 
 
 def _off_sft(n: int, sft: SftMatrix):
@@ -394,15 +401,20 @@ def _off_sft(n: int, sft: SftMatrix):
     return off
 
 
+def _sub_block_map(nk: int, parts) -> np.ndarray:
+    """The images of the map on words of m = len(parts) sub-blocks over nk
+    letters, leftmost-significant, whose output sub-block j is img_j of
+    input sub-block src_j, for parts = [(img_j, src_j), ...]: each term is
+    img_j widened over the other m - 1 sub-blocks, with no index array."""
+    m, out = len(parts), 0
+    for img, src in parts:
+        out = out * nk + _widen(np.asarray(img, dtype=np.int64), nk, src, m - 1 - src)
+    return out
+
+
 def _inflate_block_map(n: int, k: int, images: tuple[int, ...], t: int) -> np.ndarray:
     """Diagonal action of an aligned k-block permutation on kt-blocks."""
-    nk = n**k
-    blocks = np.arange(nk**t, dtype=np.int64)
-    img = np.asarray(images, dtype=np.int64)
-    out = np.zeros(blocks.shape, dtype=np.int64)
-    for i in range(t):
-        out = out * nk + img[subwindow(blocks, nk, t, i, 1)]
-    return out
+    return _sub_block_map(n**k, [(images, i) for i in range(t)])
 
 
 def equals(f: StabilizedCode, g: StabilizedCode, sft: SftMatrix | None = None) -> bool:
@@ -462,9 +474,10 @@ def verify_inverse_pair(f: StabilizedCode, g: StabilizedCode) -> bool:
     walked, not bytes held."""
     if _structured(f, g):
         return compose(f, g).shift_by == 0
-    _, radius, walk = _compose_walk(f, g)
+    _, radius, walk = _compose_walk(f.period, f.radius, g)
     letters = np.arange(f.n, dtype=_table_dtype(f.n))
-    return all((values == ch.take(letters, radius, 1)).all() for ch, _, values in walk)
+    return all((f.tables[c % f.period][outer] == ch.take(letters, radius, 1)).all()
+               for ch, c, outer in walk)
 
 
 def apply_to_periodic(code: StabilizedCode, x: PeriodicPoint) -> PeriodicPoint:
@@ -552,23 +565,18 @@ def find_inverse(code: StabilizedCode, max_radius: int) -> StabilizedCode | None
     """Search for an inverse code of radius <= max_radius by constraint propagation.
 
     For an inverse g of radius s, g(f(x))_z = x_z pins the g-table entry
-    at every f-output window to its centre letter.  One walk over the k
-    classes' windows of width 2(s + r) + 1, the count the budget bounds,
-    pins them chunk by chunk, and a conflict rules out radius s.  No
-    conflict proves g f = id, so f is injective, hence onto (Hedlund 1969;
-    Lind-Marcus 1995, 8.1), and g is returned as its inverse; else None.
+    at every f-output window to its centre letter.  One _compose_walk(k, s,
+    code) per radius, over windows of width 2(s + r) + 1 (the count the
+    budget bounds), pins them chunk by chunk; a conflict rules out radius s.
+    No conflict proves g f = id, so f is injective, hence onto (Hedlund
+    1969; Lind-Marcus 1995, 8.1), and g is returned as its inverse; else None.
     """
-    n, k, r = code.n, code.period, code.radius
+    n, k = code.n, code.period
     letters = np.arange(n, dtype=_table_dtype(n))
     for s in range(max_radius + 1):
-        span = s + r
-        _check_size(n, span, k)
-        # g at class c reads f's outputs at c - s .., the i-th from slots i .. i + 2r
-        reads = [[(code.tables[(c - s + i) % k], i, 2 * r + 1) for i in range(2 * s + 1)]
-                 for c in range(k)]
+        _, span, walk = _compose_walk(k, s, code)
         tables = [np.full(window_count(n, s), -1, dtype=letters.dtype) for _ in range(k)]
-        if all(_pin(table, ch.outputs(read), ch.take(letters, span, 1))
-               for ch in window_chunks(n, 2 * span + 1) for table, read in zip(tables, reads)):
+        if all(_pin(tables[c], outer, ch.take(letters, span, 1)) for ch, c, outer in walk):
             # entries no window pins may hold any letter
             return StabilizedCode(n, k, s, tuple(np.maximum(t, 0) for t in tables))
     return None
@@ -623,9 +631,7 @@ def _bijective_on_periodics(n: int, r: int, k: int) -> list[tuple[int, ...]]:
     w = window_count(n, r)
     per_table = n**w
     length = -(-(2 * r + 2) // k) * k  # the least multiple of k of at least 2r + 2
-    if _power_exceeds(n, w + length, MAX_TABLE_ENTRIES, k):
-        raise CodeSizeExceeded(f"{k} prefilter tables of {n}^{w + length} entries exceed "
-                               f"the exact-check budget of {MAX_TABLE_ENTRIES}")
+    _check_entries(n, w + length, k, f"{k} prefilter tables of {n}^{w + length} entries")
     idx = np.arange(n**length, dtype=np.int64)
     tidx = np.arange(per_table, dtype=np.int64)[:, None]
     # partial contribution of each table choice per residue class: the

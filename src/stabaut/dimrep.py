@@ -22,12 +22,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import MAX_TABLE_ENTRIES, Automorphism, CodeSizeExceeded, window_chunks
-from .shifts import _power_exceeds, prime_exponents, prime_factors
+from .codes import Automorphism, _check_entries, window_chunks
+from .shifts import VerificationFailed, prime_exponents, prime_factors
 
 
-class MultiplierNotSupported(ValueError):
-    """The ray multiplier has a prime factor not dividing the alphabet size."""
+class MultiplierNotSupported(VerificationFailed):
+    """A tail-dependent ray count, or a multiplier with a prime not dividing
+    the alphabet size: a defect in the count of a verified automorphism."""
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,7 @@ def ray_image_count(aut: Automorphism, tail_letter: int = 0) -> RayCount:
     free = m + r
     if free == 0:
         return RayCount(0, 1)
-    if _power_exceeds(q, free, MAX_TABLE_ENTRIES):
-        raise CodeSizeExceeded(
-            f"{q}^{free} ray extensions exceed the exact-check budget of {MAX_TABLE_ENTRIES}")
+    _check_entries(q, free, 1, f"{q}^{free} ray extensions")
     # the walk runs over the free letters at positions 1..free; a window
     # reaching back to position <= 0 starts with t tail letters, so it is
     # read from the table slice that those letters select

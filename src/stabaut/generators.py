@@ -11,21 +11,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import (
-    MAX_TABLE_ENTRIES,
     Automorphism,
-    CodeSizeExceeded,
     StabilizedCode,
+    _check_entries,
     _check_size,
     _inflate_block_map,
+    _sub_block_map,
     _table_dtype,
     code_power,
     compose_all,
     equals,
-    subwindow,
     window_chunks,
 )
 from .permlab import Permutation
-from .shifts import SftMatrix, VerificationFailed, _power_exceeds, lcm
+from .shifts import SftMatrix, VerificationFailed, lcm
 
 
 @dataclass(frozen=True)
@@ -120,10 +119,8 @@ def swap_commutator_witness(
     if len(tau.cycles()) != 1 or len(tau.cycles()[0]) != 2:
         raise ValueError("tau must be a single transposition")
 
-    nk = n**k
     # phi0 on aligned 2k-blocks: apply tau to the first k-sub-block
-    idx = np.arange(nk * nk, dtype=np.int64)
-    images = np.asarray(tau.images)[subwindow(idx, nk, 2, 0, 1)] * nk + subwindow(idx, nk, 2, 1, 1)
+    images = _sub_block_map(n**k, [(tau.images, 0), (range(n**k), 1)])
     phi0 = symbol_permutation(n, 2 * k, Permutation(tuple(images.tolist())))
     tau_everywhere = symbol_permutation(n, k, tau)
     sigma_b = shift_power(n, k)
@@ -153,9 +150,7 @@ def mth_root_of(phi0: Automorphism, m: int) -> Automorphism:
     nk = n**k
     # sub-blocks 0 .. m-1 of each mk-block go to g(sub-block 1), then
     # sub-blocks 2 .. m-1, then sub-block 0
-    idx = np.arange(nk**m, dtype=np.int64)
-    head = np.asarray(g, dtype=np.int64)[subwindow(idx, nk, m, 1, 1)] * nk ** (m - 1)
-    images = head + subwindow(idx, nk, m, 2, m - 2) * nk + subwindow(idx, nk, m, 0, 1)
+    images = _sub_block_map(nk, [(g, 1), *((range(nk), j) for j in range(2, m)), (range(nk), 0)])
     root = symbol_permutation(n, m * k, Permutation(tuple(images.tolist())))
     if not equals(code_power(root.forward, m), phi0.forward):
         raise VerificationFailed("root construction failed its defining identity")
@@ -180,9 +175,7 @@ def inflate(perm: SimpleGraphPerm, t: int) -> tuple[SimpleGraphPerm, InflateRepo
     if t < 1:
         raise ValueError("t must be >= 1")
     n, m = perm.n, perm.m
-    if _power_exceeds(n, m * t, MAX_TABLE_ENTRIES):
-        raise CodeSizeExceeded(f"{n}^{m * t} inflated blocks exceed the exact-check budget "
-                               f"of {MAX_TABLE_ENTRIES}")
+    _check_entries(n, m * t, 1, f"{n}^{m * t} inflated blocks")
     big = Permutation(tuple(_inflate_block_map(n, m, perm.perm.images, t).tolist()))
     cyc = big.cycle_type()
     trans = len(cyc) if all(c == 2 for c in cyc) and cyc else (0 if not cyc else None)
@@ -216,9 +209,7 @@ def _recode_code(code: StabilizedCode, k: int) -> StabilizedCode:
     n, r = code.n, code.radius
     big_r = -(-(r + k - 1) // k)
     width = (2 * big_r + 1) * k
-    if _power_exceeds(n, width, MAX_TABLE_ENTRIES):
-        raise CodeSizeExceeded(f"{n}^{width} recoded windows exceed the exact-check budget "
-                               f"of {MAX_TABLE_ENTRIES}")
+    _check_entries(n, width, 1, f"{n}^{width} recoded windows")
     table = np.empty(n**width, dtype=_table_dtype(n**k))
     reads = [(code.tables[c % code.period], big_r * k + c - r, 2 * r + 1) for c in range(k)]
     for ch in window_chunks(n, width):

@@ -381,6 +381,16 @@ class TestExitCodes:
         assert run(["root", flip_file, "2"]) == 2
         assert capsys.readouterr().err.startswith("verification failed:")
 
+    def test_tail_dependent_ray_count_is_exit_two(self, capsys, monkeypatch, flip_file):
+        # the count of a verified automorphism cannot depend on the tail letter,
+        # so one that does is a failed self-check, not an unsupported input
+        monkeypatch.setattr("stabaut.dimrep.ray_image_count",
+                            lambda aut, tail: stabaut.dimrep.RayCount(1, 2 + tail))
+        assert run(["dimrep", flip_file]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["verification failed: ray count depends on the tail letter"]
+
     def test_search_budget_is_not_read_from_the_environment(self, capsys, monkeypatch):
         assert run(["enumerate", "2", "1", "1"]) == 0
         plain = capsys.readouterr().out

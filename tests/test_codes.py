@@ -20,6 +20,7 @@ from stabaut.codes import (
     StabilizedCode,
     _bijective_on_periodics,
     _power_exceeds,
+    _sub_block_map,
     apply_to_periodic,
     aut_commutator,
     aut_compose,
@@ -173,6 +174,22 @@ class TestSubwindow:
         want = power_alphabet_index(n, w, letters[lo: lo + w])
         assert subwindow(idx, n, width, lo, w) == want
         assert subwindow(np.array([idx], dtype=np.int64), n, width, lo, w)[0] == want
+
+
+class TestSubBlockMap:
+    @given(st.integers(2, 4), st.integers(1, 3), st.data())
+    def test_matches_the_scalar_map(self, nk, m, data):
+        # output sub-block j is img_j of input sub-block src_j, word by word
+        imgs = [data.draw(st.permutations(range(nk))) for _ in range(m)]
+        srcs = data.draw(st.permutations(range(m)))
+        got = _sub_block_map(nk, list(zip(imgs, srcs)))
+        want = []
+        for x in range(nk**m):
+            blocks = index_to_block(nk, m, x)
+            want.append(power_alphabet_index(nk, m, [img[blocks[src]]
+                                                      for img, src in zip(imgs, srcs)]))
+        assert got.dtype == np.int64
+        assert got.tolist() == want
 
 
 class TestPowerExceeds:
@@ -1044,17 +1061,21 @@ class TestInversePairs:
         monkeypatch.setattr(stabaut.codes, "compose",
                             lambda f, g: composed.append((f, g)) or compose(f, g))
         monkeypatch.setattr(stabaut.codes, "_compose_walk",
-                            lambda f, g: walked.append((f, g)) or walk(f, g))
-        assert verify_inverse_pair(aut.forward, aut.inverse)
-        assert (composed, walked) == ([], [(aut.forward, aut.inverse)])
+                            lambda k, r, g: walked.append((k, r, g)) or walk(k, r, g))
+        f = aut.forward
+        assert verify_inverse_pair(f, aut.inverse)
+        assert (composed, walked) == ([], [(f.period, f.radius, aut.inverse)])
         blocks = symbol_permutation(2, 2, Permutation((1, 2, 3, 0)))
         for f, g in ((SIGMA, SIGMA_INV), (blocks.forward, blocks.inverse)):
             del composed[:], walked[:]
             assert verify_inverse_pair(f, g)
             assert (composed, walked) == ([(f, g)], [])
         del composed[:], walked[:]
-        assert find_inverse(aut.forward, 1) is not None
-        assert (composed, walked) == ([], [])
+        f = aut.forward
+        inv = find_inverse(f, 1)
+        assert inv is not None
+        # one walk of the candidate's shape after f per radius tried
+        assert (composed, walked) == ([], [(f.period, s, f) for s in range(inv.radius + 1)])
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

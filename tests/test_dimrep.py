@@ -212,9 +212,9 @@ class TestRayCountBudget:
 
     def test_the_budget_is_the_table_budget(self, monkeypatch):
         # shift over 2 letters walks 2^3 extensions
-        monkeypatch.setattr(stabaut.dimrep, "MAX_TABLE_ENTRIES", 8)
+        monkeypatch.setattr(stabaut.codes, "MAX_TABLE_ENTRIES", 8)
         assert ray_image_count(shift_power(2, 1)) == RayCount(2, 8)
-        monkeypatch.setattr(stabaut.dimrep, "MAX_TABLE_ENTRIES", 7)
+        monkeypatch.setattr(stabaut.codes, "MAX_TABLE_ENTRIES", 7)
         with pytest.raises(CodeSizeExceeded):
             ray_image_count(shift_power(2, 1))
         with pytest.raises(CodeSizeExceeded):

@@ -140,3 +140,27 @@ def test_every_exception_class_is_a_value_error():
                     and obj.__module__ == module.__name__]
     assert len(classes) >= 11
     assert [cls.__qualname__ for cls in classes if not issubclass(cls, ValueError)] == []
+
+
+def _calls(tree, name):
+    # the top-level definition around every call of `name` or `module.name`, in order
+    return [getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None))]
+
+
+def test_each_table_layer_job_has_one_owner():
+    # one raiser of the table budget, two window-walk kernels in codes.py
+    # (comparisons and images), and sub-block maps built by _sub_block_map
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((SRC / "stabaut").glob("*.py"))}
+    raisers = {stem: _calls(tree, "CodeSizeExceeded") for stem, tree in trees.items()}
+    assert {stem: names for stem, names in raisers.items() if names} == {
+        "codes": ["_check_entries"]}
+    assert sorted(set(_calls(trees["codes"], "window_chunks"))) == ["_compose_walk", "_same"]
+    assert set(_calls(trees["generators"], "_sub_block_map")) == {
+        "swap_commutator_witness", "mth_root_of"}
+    assert _calls(trees["codes"], "_sub_block_map") == ["_inflate_block_map"]
+    imported = {alias.name for node in ast.walk(trees["generators"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "subwindow" not in imported
