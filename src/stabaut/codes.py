@@ -24,7 +24,10 @@ any radius.  Two kernels walk the chunks: _same, every whole-window
 comparison of table reads (equals, commutation with shift powers, the
 structure checks), which stops at the first chunk that differs; and
 _compose_walk, every image of one code read after another (compose, the
-dense inverse check, find_inverse's pinning).  Maps on words of
+dense inverse check, and the inverse pinning of _pin_inverses).  Table
+reads take an optional leading candidate axis, so one walk pins the
+inverses of a stack of same-shape codes: find_inverse runs it on one
+code, the census on all its prefilter survivors at once.  Maps on words of
 sub-blocks and derived block images are built with _widen.  Digits of
 arbitrary index arrays (the images in from_block_permutation, the census
 prefilter) are read through
@@ -33,12 +36,16 @@ prefilter) are read through
 
 Tables are dense numpy arrays, so every comparison below is an exact,
 exhaustive check over all windows.  Size guards keep that honest:
-operations refuse to build tables they cannot enumerate.
+operations refuse to build tables they cannot enumerate.  The constructor
+copies the arrays a caller passes; a kernel hands over the tables it
+allocated as _Owned, which the constructor checks and keeps without a copy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,7 +121,8 @@ class WindowChunk:
         """table[the index of the sub-window at slots lo .. lo+w-1] (the
         whole window by default) for every window of the chunk, as a view
         broadcastable to self.shape: the sub-window's prefix letters fix a
-        base index, and its free slots run over one contiguous slice."""
+        base index, and its free slots run over one contiguous slice.  A
+        stack of tables, one row per candidate, keeps its leading axis."""
         n, head = self.n, self.width - self.s
         w = self.width - lo if w is None else w
         free = max(0, lo + w - max(lo, head))
@@ -123,15 +131,19 @@ class WindowChunk:
         base = (self.prefix // n ** (head - lo - fixed)) % n**fixed * n**free if fixed else 0
         before = max(lo, head) - head if free else 0
         shape = (1,) * before + (n,) * free + (1,) * (self.s - before - free)
-        return table[base: base + n**free].reshape(shape)
+        return table[..., base: base + n**free].reshape(table.shape[:-1] + shape)
 
     def outputs(self, reads) -> np.ndarray:
         """Leftmost-significant index of the letters take(table, lo, w)
         reads, one letter for each (table, lo, w) of `reads`.  The result
         spans only the chunk axes some read covers, so a sum over reads that
-        gain free slots from left to right stays small until the last terms."""
+        gain free slots from left to right stays small until the last terms.
+        Given stacks of m tables, the result keeps their leading axis and
+        candidate i's index is offset by i n^len(reads): it indexes m tables
+        of n^len(reads) entries laid end to end."""
+        lead = reads[0][0].shape[:-1]
         # an int64 array, not a scalar, so the sum is int64 under any promotion rules
-        out = np.zeros((1,) * self.s, dtype=np.int64)
+        out = np.arange(math.prod(lead), dtype=np.int64).reshape(lead + (1,) * self.s)
         for table, lo, w in reads:
             out = out * self.n + self.take(table, lo, w)
         return out
@@ -210,6 +222,11 @@ def _derive_block_map(n: int, k: int, radius: int, tables, shift_by) -> tuple[in
     return tuple(images.tolist()) if np.bincount(images, minlength=n**k).min() == 1 else None
 
 
+class _Owned(tuple):
+    """Tables a kernel allocated for the code it builds and holds nowhere
+    else: the constructor keeps them as they are, without a copy."""
+
+
 @dataclass(frozen=True, eq=False)
 class StabilizedCode:
     """k position-dependent block maps of common radius r over A = {0..n-1}.
@@ -221,7 +238,11 @@ class StabilizedCode:
     `period`-blocks when the code acts blockwise.  compose() and equals()
     take a structured shortcut on either.  The constructor is the one
     validator, from a file or from code, of the shape against the budget
-    (first) and of each table: n^(2r+1) integer letters in 0 .. n-1.
+    (first) and of each table: n^(2r+1) integer letters in 0 .. n-1.  It
+    takes a read-only copy of each distinct array it is given, so classes
+    that share an array share its copy, and a caller that mutates its
+    arrays later does not change the code; kernels hand over the tables
+    they allocated as _Owned, which are checked the same way and kept.
     """
 
     n: int
@@ -239,8 +260,11 @@ class StabilizedCode:
         if len(self.tables) != self.period:
             raise ValueError(f"expected {self.period} tables, found {len(self.tables)}")
         want = window_count(self.n, self.radius)
-        fixed = []
+        copy = not isinstance(self.tables, _Owned)
+        fixed = {}  # id of each distinct array given -> its checked table
         for ti, t in enumerate(self.tables):
+            if id(t) in fixed:
+                continue
             arr = np.asarray(t)
             if arr.shape != (want,):
                 raise ValueError(f"table {ti} has {arr.size} entries, expected {want}")
@@ -250,10 +274,10 @@ class StabilizedCode:
             if arr.min() < 0 or arr.max() >= self.n:
                 ei = int(np.flatnonzero((arr < 0) | (arr >= self.n))[0])
                 raise ValueError(f"table {ti} entry {ei} out of range: {arr[ei]}")
-            arr = arr.astype(_table_dtype(self.n))
+            arr = arr.astype(_table_dtype(self.n), copy=copy)
             arr.flags.writeable = False
-            fixed.append(arr)
-        object.__setattr__(self, "tables", tuple(fixed))
+            fixed[id(t)] = arr
+        object.__setattr__(self, "tables", tuple([fixed[id(t)] for t in self.tables]))
         j = _derive_shift(self.n, self.radius, self.tables)
         bm = _derive_block_map(self.n, self.period, self.radius, self.tables, j)
         object.__setattr__(self, "shift_by", j)
@@ -328,14 +352,16 @@ def _structured(f: StabilizedCode, g: StabilizedCode) -> bool:
         and f.period == g.period and f.radius + g.radius >= f.period - 1)
 
 
-def _compose_walk(k: int, r: int, g: StabilizedCode):
+def _compose_walk(k: int, r: int, g):
     """Period lcm(k, k_g), radius r + r_g, and a generator of (chunk, class
     c, outer) over their windows for a period-k radius-r code read after g:
     outer indexes the g-outputs class c reads, so the outer code's table
-    c mod k at outer is the image.  The budget is checked before anything
-    is allocated."""
+    c mod k at outer is the image.  g may be a _Stack of m codes, whose
+    outer indexes each code's outputs in a stack of m tables
+    (WindowChunk.outputs), and then m times the windows count against the
+    budget.  The budget is checked before anything is allocated."""
     n, period, radius = g.n, lcm(k, g.period), r + g.radius
-    _check_size(n, radius, period)
+    _check_size(n, radius, period * math.prod(g.tables[0].shape[:-1]))
     # class c reads g's outputs at c - r .., the i-th from slots i .. i + 2r_g,
     # and those depend on c mod k_g alone
     reads = [[(g.tables[(rho - r + i) % g.period], i, 2 * g.radius + 1)
@@ -368,7 +394,7 @@ def compose(f: StabilizedCode, g: StabilizedCode) -> StabilizedCode:
     tables = [np.empty(window_count(n, radius), dtype=_table_dtype(n)) for _ in range(period)]
     for ch, c, outer in walk:
         ch.take(tables[c])[...] = f.tables[c % f.period][outer]
-    return StabilizedCode(n, period, radius, tuple(tables))
+    return StabilizedCode(n, period, radius, _Owned(tables))
 
 
 def compose_all(*codes: StabilizedCode) -> StabilizedCode:
@@ -553,33 +579,81 @@ def aut_equals(a: Automorphism, b: Automorphism) -> bool:
     return equals(a.forward, b.forward)
 
 
-def _pin(table: np.ndarray, out: np.ndarray, centre: np.ndarray) -> bool:
-    """Set table[out] = centre; False if an earlier pin set an entry to another
-    letter or two windows of `out` need different ones."""
+class _Stack(NamedTuple):
+    """m codes of one shape, as the census holds them before any is built:
+    tables[c] has one row of n^(2r+1) letters per code."""
+
+    n: int
+    period: int
+    radius: int
+    tables: tuple[np.ndarray, ...]
+
+
+def _pin(table: np.ndarray, out: np.ndarray, centre: np.ndarray, conflict: np.ndarray) -> bool:
+    """Set table[out] = centre, and record in conflict[i] that candidate i's
+    pins (row i of out, or all of out for one code) set an entry an earlier
+    pin set to another letter, or need different ones at two windows.
+    Whether some candidate is still free of conflicts."""
     before = table[out]
     table[out] = centre
-    return not ((before >= 0) & (before != centre)).any() and bool((table[out] == centre).all())
+    bad = ((before >= 0) & (before != centre)) | (table[out] != centre)
+    conflict |= bad.reshape(conflict.size, -1).any(-1)
+    return not conflict.all()
+
+
+def _pin_inverses(g, max_radius: int) -> list:
+    """For each of g's candidates (g itself, or each code of a _Stack), the
+    radius s and the tables of an inverse of least radius s <= max_radius,
+    or None if it has none there.
+
+    For an inverse h of radius s, h(g(x))_z = x_z pins the h-table entry
+    at every g-output window to its centre letter.  One _compose_walk(k, s,
+    g) per radius, over windows of width 2(s + r) + 1 (the count the budget
+    bounds, times the candidates left), pins every candidate's tables chunk
+    by chunk; a conflict rules out radius s for that candidate, and the
+    walk stops when every candidate has one.  The candidates left go on to
+    radius s + 1.  No conflict proves h g = id, so g is injective, hence
+    onto (Hedlund 1969; Lind-Marcus 1995, 8.1), and h is its inverse.
+    """
+    n, k = g.n, g.period
+    letters = np.arange(n, dtype=_table_dtype(n))
+    found = [None] * math.prod(g.tables[0].shape[:-1])
+    left = list(range(len(found)))  # the candidates still searched, g's rows
+    for s in range(max_radius + 1):
+        if not left:
+            break
+        _, span, walk = _compose_walk(k, s, g)
+        size = window_count(n, s)
+        # each class's tables of all candidates end to end, as outer indexes them
+        tables = [np.full(len(left) * size, -1, dtype=letters.dtype) for _ in range(k)]
+        conflict = np.zeros(len(left), dtype=bool)
+        if all(_pin(tables[c], outer, ch.take(letters, span, 1), conflict)
+               for ch, c, outer in walk):
+            # entries no window pins may hold any letter
+            pinned = [np.maximum(t, 0).reshape(-1, size) for t in tables]
+            bad = conflict.tolist()
+            for i, j in enumerate(left):
+                if not bad[i]:
+                    found[j] = (s, tuple(t[i] for t in pinned))
+            left = [j for j, b in zip(left, bad) if b]
+            if left:
+                g = _Stack(n, k, g.radius, tuple(t[conflict] for t in g.tables))
+    return found
 
 
 def find_inverse(code: StabilizedCode, max_radius: int) -> StabilizedCode | None:
     """Search for an inverse code of radius <= max_radius by constraint propagation.
 
-    For an inverse g of radius s, g(f(x))_z = x_z pins the g-table entry
-    at every f-output window to its centre letter.  One _compose_walk(k, s,
-    code) per radius, over windows of width 2(s + r) + 1 (the count the
-    budget bounds), pins them chunk by chunk; a conflict rules out radius s.
-    No conflict proves g f = id, so f is injective, hence onto (Hedlund
-    1969; Lind-Marcus 1995, 8.1), and g is returned as its inverse; else None.
+    _pin_inverses on the code alone: one _compose_walk(k, s, code) per
+    radius s pins the candidate tables, and the first conflict rules out
+    radius s.  The first radius without a conflict gives the inverse,
+    proved by the walk; else None.
     """
-    n, k = code.n, code.period
-    letters = np.arange(n, dtype=_table_dtype(n))
-    for s in range(max_radius + 1):
-        _, span, walk = _compose_walk(k, s, code)
-        tables = [np.full(window_count(n, s), -1, dtype=letters.dtype) for _ in range(k)]
-        if all(_pin(tables[c], outer, ch.take(letters, span, 1)) for ch, c, outer in walk):
-            # entries no window pins may hold any letter
-            return StabilizedCode(n, k, s, tuple(np.maximum(t, 0) for t in tables))
-    return None
+    [found] = _pin_inverses(code, max_radius)
+    if found is None:
+        return None
+    s, tables = found
+    return StabilizedCode(code.n, code.period, s, _Owned(tables))
 
 
 def enumerate_automorphisms(n: int, r: int, k: int) -> list[Automorphism]:
@@ -588,6 +662,9 @@ def enumerate_automorphisms(n: int, r: int, k: int) -> list[Automorphism]:
     Every code with period k and radius r whose inverse has radius at
     most 2r is returned with that inverse, in the canonical order of the
     table-index tuples, for shapes of at most CENSUS_BUDGET candidates.
+    The prefilter's survivors are stacked, and one _pin_inverses walk per
+    radius searches all of them; codes are built only for the survivors
+    that have an inverse.
     """
     if n < 1 or r < 0 or k < 1:
         raise ValueError(f"bad census shape: need n >= 1, r >= 0, k >= 1, got {n}, {r}, {k}")
@@ -602,14 +679,17 @@ def enumerate_automorphisms(n: int, r: int, k: int) -> list[Automorphism]:
         raise BudgetExceeded(f"periodic points of {max(k, 2 * r + 1)} letters exceed the "
                              f"{CENSUS_BUDGET.bit_length()} that budget {CENSUS_BUDGET} allows")
     w = window_count(n, r)
+    combos = np.array(_bijective_on_periodics(n, r, k), dtype=np.int64).reshape(-1, k)
+    # [i, c]: the w letters of survivor i's table c
+    letters = subwindow(combos[..., None], n, w, np.arange(w), 1).astype(_table_dtype(n))
+    stack = _Stack(n, k, r, tuple(letters[:, c] for c in range(k)))
     out = []
-    for combo in _bijective_on_periodics(n, r, k):
-        tables = tuple(np.array(index_to_block(n, w, t), dtype=_table_dtype(n)) for t in combo)
-        code = StabilizedCode(n, k, r, tables)
-        inv = find_inverse(code, 2 * r)
-        if inv is not None:
+    for i, found in enumerate(_pin_inverses(stack, 2 * r)):
+        if found is not None:
+            s, tables = found
+            code = StabilizedCode(n, k, r, _Owned(letters[i]))
             # inv code = id by the walk; injective is onto (Hedlund 1969; Lind-Marcus 8.1)
-            out.append(Automorphism(code, inv, verify=False))
+            out.append(Automorphism(code, StabilizedCode(n, k, s, _Owned(tables)), verify=False))
     return out
 
 

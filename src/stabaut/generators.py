@@ -16,6 +16,7 @@ from .codes import (
     _check_entries,
     _check_size,
     _inflate_block_map,
+    _Owned,
     _sub_block_map,
     _table_dtype,
     code_power,
@@ -214,4 +215,4 @@ def _recode_code(code: StabilizedCode, k: int) -> StabilizedCode:
     reads = [(code.tables[c % code.period], big_r * k + c - r, 2 * r + 1) for c in range(k)]
     for ch in window_chunks(n, width):
         ch.take(table)[...] = ch.outputs(reads)
-    return StabilizedCode(n**k, 1, big_r, (table,))
+    return StabilizedCode(n**k, 1, big_r, _Owned((table,)))

@@ -30,6 +30,7 @@ from .codes import (
     Automorphism,
     StabilizedCode,
     _check_size,
+    _Owned,
     _table_dtype,
     window_chunks,
 )
@@ -264,7 +265,7 @@ def embed_code(code: StabilizedCode, scheme: MarkerScheme) -> StabilizedCode:
             upper = code.tables[j0][win_u].astype(np.int64)
             encoded = upper * n + code.tables[(1 - j0) % k][win_l]
             ch.take(tables[j0])[...] = np.where(data[r], encoded, slots[r])
-    return StabilizedCode(q, period, W, tuple(tables[c // R] for c in range(period)))
+    return StabilizedCode(q, period, W, _Owned(tables[c // R] for c in range(period)))
 
 
 def _walk_weights(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:

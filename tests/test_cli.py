@@ -179,6 +179,9 @@ class TestCommands:
     def test_enumerate(self, capsys):
         assert run(["enumerate", "2", "0", "1"]) == 0
         assert "count: 2" in capsys.readouterr().out
+        # over one letter the one candidate is its own inverse
+        assert run(["enumerate", "1", "0", "1"]) == 0
+        assert "count: 1\ntables: [[[0]]]" in capsys.readouterr().out
 
     def test_module_entry_point(self):
         src = pathlib.Path(stabaut.__file__).resolve().parents[1]

@@ -19,7 +19,9 @@ from stabaut.codes import (
     CodeSizeExceeded,
     StabilizedCode,
     _bijective_on_periodics,
+    _pin_inverses,
     _power_exceeds,
+    _Stack,
     _sub_block_map,
     apply_to_periodic,
     aut_commutator,
@@ -94,6 +96,31 @@ def invertible_codes(draw):
         images = tuple(draw(st.permutations(range(4))))
         code = compose(StabilizedCode.from_block_permutation(2, 2, images), code)
     return code
+
+
+@st.composite
+def code_stacks(draw):
+    """Up to 5 codes of one shape (n, k, r): each a random table tuple, or
+    a shift power of exponent at most r after a letter permutation per
+    class, with, over 2 letters at period 2 and radius 1, maybe a block
+    permutation after the letter permutations alone."""
+    n, k, r = draw(st.integers(2, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            perms = [Permutation(tuple(draw(st.permutations(range(n))))) for _ in range(k)]
+            j = draw(st.integers(-r, r))
+            letters = periodic_letter_permutation(n, perms).forward
+            code = compose(StabilizedCode.shift(n, j), letters)
+            if (n, k, r, j) == (2, 2, 1, 0) and draw(st.booleans()):
+                images = tuple(draw(st.permutations(range(4))))
+                code = compose(StabilizedCode.from_block_permutation(2, 2, images), code)
+            codes.append(code.refine(k, r))
+        else:
+            codes.append(StabilizedCode(n, k, r, tuple(
+                rng.integers(0, n, n ** (2 * r + 1)) for _ in range(k))))
+    return n, k, r, codes
 
 
 def seeded_code(seed, n, period, radius):
@@ -490,8 +517,8 @@ def traced_peak(fn):
 
 
 class TestWalkMemory:
-    """A walking kernel holds its output tables, the constructor's validated
-    copies of them, and a few chunk-sized temporaries; a check that reads
+    """A walking kernel holds its output tables, which the constructor keeps
+    without a copy, and a few chunk-sized temporaries; a check that reads
     tables in place holds only the temporaries."""
 
     @pytest.mark.parametrize("n, shapes", [
@@ -502,7 +529,7 @@ class TestWalkMemory:
         (kf, rf), (kg, rg) = shapes
         f, g = seeded_code(1, n, kf, rf), seeded_code(2, n, kg, rg)
         fg, peak = traced_peak(lambda: compose(f, g))
-        assert peak < 2 * sum(t.nbytes for t in fg.tables) + 4 * WINDOW_CHUNK * 8
+        assert peak < sum(t.nbytes for t in fg.tables) + 4 * WINDOW_CHUNK * 8
 
     def test_find_inverse(self):
         # no inverse up to radius 3: candidate tables of up to 5^7 entries,
@@ -699,6 +726,25 @@ class TestTableValidation:
     def test_bad_shape_refused(self, shape):
         with pytest.raises(ValueError, match="bad code shape"):
             StabilizedCode(*shape, ([1, 0],))
+
+    def test_caller_arrays_are_copied_once_each(self):
+        # mutating a caller's array after construction leaves the code as it
+        # was, and two classes given one array share one read-only copy
+        table = np.array([1, 0])
+        code = StabilizedCode(2, 2, 0, (table, table))
+        table[0] = 0
+        assert [t.tolist() for t in code.tables] == [[1, 0], [1, 0]]
+        assert code.tables[0] is code.tables[1] and not code.tables[0].flags.writeable
+        assert code.block_map == (3, 2, 1, 0)
+
+    def test_read_only_arrays_of_the_table_dtype_are_copied_too(self):
+        # the owner of a read-only array may make it writeable again
+        table = np.array([1, 0], dtype=np.int16)
+        table.flags.writeable = False
+        code = StabilizedCode(2, 1, 0, (table,))
+        table.flags.writeable = True
+        table[0] = 0
+        assert code.tables[0].tolist() == [1, 0] and code.tables[0] is not table
 
     def test_message_names_the_table_and_the_count(self):
         with pytest.raises(ValueError, match="table 1 entry 1 out of range: -1"):
@@ -1233,6 +1279,77 @@ class TestEnumerate:
             actions.append(tuple(apply_to_periodic(a.forward, x) for x in pts))
         for i, j in itertools.combinations(range(len(auts)), 2):
             assert actions[i] != actions[j] or equals(auts[i].forward, auts[j].forward)
+
+
+def stacked(n, k, r, codes):
+    """The codes' class-c tables as the rows of tables[c]."""
+    w = n ** (2 * r + 1)
+    return _Stack(n, k, r, tuple(
+        np.array([code.tables[c] for code in codes], dtype=np.int16).reshape(len(codes), w)
+        for c in range(k)))
+
+
+class TestStackedInverseSearch:
+    """The census searches its survivors' inverses on one stack: each
+    candidate gets what find_inverse gives it alone."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(code_stacks(), st.integers(0, 2), st.data())
+    def test_each_candidate_as_alone(self, small_chunk, stack, max_radius, data):
+        n, k, r, codes = stack
+        found = _pin_inverses(stacked(n, k, r, codes), max_radius)
+        assert len(found) == len(codes)
+        for code, got in zip(codes, found):
+            alone = find_inverse(code, max_radius)
+            assert (got is None) == (alone is None)
+            if got is None:
+                continue
+            s, tables = got
+            assert s == alone.radius
+            assert all(np.array_equal(a, b) for a, b in zip(tables, alone.tables))
+            inv = StabilizedCode(n, k, s, tables)
+            length = witness_length(k, r + s)
+            points = [PeriodicPoint(tuple(data.draw(st.lists(
+                st.integers(0, n - 1), min_size=length, max_size=length)))) for _ in range(8)]
+            for x in points:
+                assert apply_to_periodic(inv, apply_to_periodic(code, x)) == x
+                assert apply_to_periodic(code, apply_to_periodic(inv, x)) == x
+
+    def test_empty_stack(self):
+        assert _pin_inverses(stacked(2, 2, 1, []), 2) == []
+
+    def test_one_letter(self):
+        # over one letter the one code is its own inverse at radius 0
+        code = StabilizedCode(1, 2, 1, (np.zeros(1, dtype=int),) * 2)
+        [(s, tables)] = _pin_inverses(stacked(1, 2, 1, [code]), 2)
+        assert s == 0 and [t.tolist() for t in tables] == [[0], [0]]
+
+    def test_stacked_walk_refuses_before_it_allocates(self, monkeypatch):
+        # 4 codes of radius 1: at inverse radius 0 each walks 2^3 windows,
+        # which a budget of 20 admits for one code and refuses for 4
+        codes = [seeded_code(seed, 2, 1, 1) for seed in range(4)]
+        walked = []
+        chunks = stabaut.codes.window_chunks
+        monkeypatch.setattr(stabaut.codes, "window_chunks",
+                            lambda n, width: walked.append(width) or chunks(n, width))
+        monkeypatch.setattr(stabaut.codes, "MAX_TABLE_ENTRIES", 20)
+        assert [find_inverse(code, 0) for code in codes] == [None] * 4
+        assert walked == [3] * 4
+        with pytest.raises(CodeSizeExceeded, match=r"4 tables of 2\^3 entries"):
+            _pin_inverses(stacked(2, 1, 1, codes), 0)
+        assert walked == [3] * 4
+
+    def test_census_builds_codes_only_for_automorphisms(self, monkeypatch):
+        # census (2, 1, 2): 160 prefilter survivors, 108 of them invertible,
+        # and a forward and an inverse code for each of those
+        built = []
+        init = StabilizedCode.__post_init__
+        monkeypatch.setattr(StabilizedCode, "__post_init__",
+                            lambda code: built.append(code) or init(code))
+        assert len(_bijective_on_periodics(2, 1, 2)) == 160
+        assert len(enumerate_automorphisms(2, 1, 2)) == 108
+        assert len(built) == 216
 
 
 def permuting_tuples(n, r, k):

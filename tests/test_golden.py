@@ -4,11 +4,14 @@ The digests were computed with per-window index decoding, before the
 kernels read windows through window_chunks, so they pin the walk to the
 old results bit for bit."""
 
+import contextlib
 import hashlib
+import io
 
 import numpy as np
 import pytest
 
+from stabaut import cli
 from stabaut.codes import StabilizedCode, aut_compose, compose, enumerate_automorphisms
 from stabaut.dimrep import RayCount, ray_image_count
 from stabaut.generators import recode_to_power, shift_power, symbol_permutation
@@ -64,6 +67,30 @@ def test_census():
     assert len(auts) == 108
     assert digest(*(c for a in auts for c in (a.forward, a.inverse))) == (
         "ea73978199fff340d38d070d038ecb9219845cac8f8394a77591dc8189db8736")
+
+
+# every census shape the budget admits over two letters or more
+ADMITTED = sorted({(2, 0, k) for k in range(1, 9)} | {(3, 0, k) for k in (1, 2, 3)} | {
+    (2, 1, 1), (2, 1, 2), (4, 0, 1), (4, 0, 2), (5, 0, 1), (6, 0, 1)})
+
+
+def test_census_of_every_admitted_shape():
+    # forward and inverse tables, radii and list order, shape after shape;
+    # recorded while the census still built and searched each survivor alone
+    assert digest(*(c for shape in ADMITTED for a in enumerate_automorphisms(*shape)
+                    for c in (a.forward, a.inverse))) == (
+        "3b26bd9f09a24ade311258a0967ae1721201e93a5f823d53154b69f3cb40cbd7")
+
+
+def test_enumerate_stdout_of_every_admitted_shape():
+    h = hashlib.sha256()
+    for shape in ADMITTED:
+        for flags in ([], ["--json"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.run(flags + ["enumerate", *map(str, shape)]) == 0
+            h.update(out.getvalue().encode())
+    assert h.hexdigest() == "ab66c56ae1868a0b27ed72b08fed6a73b0cab4dd883cfb14940f5ffd7be869a4"
 
 
 def test_recode_to_power():

@@ -314,8 +314,8 @@ class TestEmbedCode:
             assert apply_to_periodic(e, x) == embed_oracle(code, scheme, x)
 
     def test_memory_is_tables_and_a_few_chunks(self):
-        # the benchmark's radius-2 embed: 4 tables of 5^9 windows, built as
-        # one table per source class and copied once by the constructor
+        # the benchmark's radius-2 embed: 4 classes of 5^9 windows, built as
+        # one table per source class and kept by the constructor without a copy
         code = StabilizedCode(2, 2, 2, tuple(
             np.random.default_rng(6).integers(0, 2, 32) for _ in range(2)))
         tracemalloc.start()
@@ -324,7 +324,17 @@ class TestEmbedCode:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * sum(t.nbytes for t in e.tables) + 4 * WINDOW_CHUNK * 8
+        distinct = {id(t): t for t in e.tables}.values()
+        assert peak < sum(t.nbytes for t in distinct) + 4 * WINDOW_CHUNK * 8
+
+    def test_one_array_per_source_class(self):
+        # output class c reads source class c // R: k arrays, not k R
+        for aut in (flip_on_even(2), aut_compose(shift_power(2, 1), flip_on_even(2))):
+            e = embed_code(aut.forward, SCHEME)
+            assert e.period == 2 * SCHEME.gap == 4
+            first, _, second, _ = e.tables
+            assert [t is first for t in e.tables] == [True, True, False, False]
+            assert [t is second for t in e.tables] == [False, False, True, True]
 
     def test_data_pattern_preserved(self):
         e = embed_code(shift_power(2, 1).forward, SCHEME)

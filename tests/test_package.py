@@ -151,13 +151,26 @@ def _calls(tree, name):
 
 def test_each_table_layer_job_has_one_owner():
     # one raiser of the table budget, two window-walk kernels in codes.py
-    # (comparisons and images), and sub-block maps built by _sub_block_map
+    # (comparisons and images), one inverse-pinning kernel, and sub-block
+    # maps built by _sub_block_map
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted((SRC / "stabaut").glob("*.py"))}
     raisers = {stem: _calls(tree, "CodeSizeExceeded") for stem, tree in trees.items()}
     assert {stem: names for stem, names in raisers.items() if names} == {
         "codes": ["_check_entries"]}
     assert sorted(set(_calls(trees["codes"], "window_chunks"))) == ["_compose_walk", "_same"]
+    pinners = {stem: _calls(tree, "_pin_inverses") for stem, tree in trees.items()}
+    assert {stem: names for stem, names in pinners.items() if names} == {
+        "codes": ["find_inverse", "enumerate_automorphisms"]}
+    # the census searches before it builds any code, and searches only on the stack
+    [census] = [top for top in trees["codes"].body
+                if getattr(top, "name", None) == "enumerate_automorphisms"]
+    [search] = [node.lineno for node in ast.walk(census) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "_pin_inverses"]
+    names = [(node.id, node.lineno) for node in ast.walk(census) if isinstance(node, ast.Name)]
+    assert "find_inverse" not in {name for name, _ in names}
+    built = [line for name, line in names if name == "StabilizedCode"]
+    assert built and min(built) > search
     assert set(_calls(trees["generators"], "_sub_block_map")) == {
         "swap_commutator_witness", "mth_root_of"}
     assert _calls(trees["codes"], "_sub_block_map") == ["_inflate_block_map"]
