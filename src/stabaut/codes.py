@@ -14,12 +14,15 @@ Kernels that visit every window walk them with window_chunks(n, width).
 A chunk holds the n^s windows that share their leading width - s
 letters, where n^s is the power of n nearest WINDOW_CHUNK in log terms
 (s >= 1, so a chunk holds at most max(n, WINDOW_CHUNK * sqrt(n))
-entries).  Seen through
-the shape (n,)*s, one axis per free slot, the index of the sub-window at
-slots lo .. lo+w-1 is a constant plus an arange over the free slots it
-covers: a sub-window is a reshape, and a table read of it is one
-contiguous table slice broadcast over the chunk (WindowChunk.take), with
-no division and no per-window gather.  Chunks keep peak RSS bounded at
+entries).  Seen through the shape (n,)*s, one axis per free slot, the
+index of the sub-window at slots lo .. lo+w-1 is a constant plus an
+arange over the free slots it covers: a sub-window is a reshape, and a
+table read of it is one contiguous table slice broadcast over the chunk
+(WindowChunk.take), with no division and no per-window gather.  The
+index of a code's outputs at several sub-windows is a sum of such reads
+(WindowChunk.outputs), added in the bracketing that _sum_order picks
+from their spans of free slots, once for a walk, so that the sums over
+a whole chunk run long inner loops.  Chunks keep peak RSS bounded at
 any radius.  Two kernels walk the chunks: _same, every whole-window
 comparison of table reads (equals, commutation with shift powers, the
 structure checks), which stops at the first chunk that differs; and
@@ -43,6 +46,7 @@ allocated as _Owned, which the constructor checks and keeps without a copy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
@@ -135,18 +139,83 @@ class WindowChunk:
 
     def outputs(self, reads) -> np.ndarray:
         """Leftmost-significant index of the letters take(table, lo, w)
-        reads, one letter for each (table, lo, w) of `reads`.  The result
-        spans only the chunk axes some read covers, so a sum over reads that
-        gain free slots from left to right stays small until the last terms.
-        Given stacks of m tables, the result keeps their leading axis and
-        candidate i's index is offset by i n^len(reads): it indexes m tables
-        of n^len(reads) entries laid end to end."""
-        lead = reads[0][0].shape[:-1]
-        # an int64 array, not a scalar, so the sum is int64 under any promotion rules
-        out = np.arange(math.prod(lead), dtype=np.int64).reshape(lead + (1,) * self.s)
-        for table, lo, w in reads:
-            out = out * self.n + self.take(table, lo, w)
-        return out
+        reads, one letter for each (table, lo, w) of `reads`: the int64 sum
+        of read i times n^(len(reads)-1-i).  The result spans only the chunk
+        axes some read covers.  The reads are added in the bracketing that
+        _sum_order picks from their free-slot spans, the same for every
+        chunk of a walk, so that a sum over the whole chunk joins terms that
+        vary alike along a long run of trailing axes.  Given stacks of m
+        tables, the result keeps their leading axis and candidate i's index
+        is offset by i n^len(reads): it indexes m tables of n^len(reads)
+        entries laid end to end."""
+        out, lead = self.take(*reads[0]), reads[0][0].shape[:-1]
+        if lead:
+            offset = np.arange(math.prod(lead), dtype=np.int64).reshape(lead + (1,) * self.s)
+            out = offset * self.n + out
+        else:
+            out = out.astype(np.int64)
+        plan = _sum_order(self.n, self.width, self.s, tuple([(lo, w) for _, lo, w in reads]))
+        if plan is None:  # the left fold, each read taken as it is added
+            for table, lo, w in reads[1:]:
+                out = out * self.n + self.take(table, lo, w)
+            return out
+        terms = [out] + [self.take(*read) for read in reads[1:]]
+        for i, j, power in plan:
+            # dtype= keeps the product int64 under any promotion rules
+            terms[i] = np.multiply(terms[i], power, dtype=np.int64) + terms[j]
+            terms[j] = None
+        return terms[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _sum_order(n: int, width: int, s: int, spans) -> tuple | None:
+    """The steps (i, j, power) by which WindowChunk.outputs adds its reads
+    at `spans`, one (lo, w) each, in chunks of s free slots of `width`:
+    each step sets term i to term i * power + term j, and term 0 ends as
+    the index.  A step joins the sums of the reads i .. j-1 and j .. h,
+    with power n^(h-j+1), so the steps are a bracketing of the sum.  None
+    stands for the left fold, (0, 1, n), (0, 2, n), ..., which outputs
+    runs as a plain loop.
+
+    numpy adds two terms broadcast to a shape in one inner loop per run
+    of trailing axes along which each term either varies throughout or is
+    constant throughout.  So an add costs its size times (1 + 12 / that
+    run's length), and a multiply its size + 12, plus 1000 for a read that
+    is not the first, which the multiply casts to int64 (outputs casts the
+    first up front).  An interval DP over the contiguous splits takes the
+    cheapest bracketing.  Ties go to the left fold: reads that gain free
+    slots from left to right, as in the ray count, keep that order.
+    """
+    head = width - s
+    # bit x of a mask: the term varies along chunk axis x (window slot head + x)
+    masks = [(1 << max(0, lo + w - head)) - (1 << max(0, lo - head)) for lo, w in spans]
+
+    def add_cost(a: int, b: int) -> int:
+        kinds = [(a >> x & 1, b >> x & 1) for x in reversed(range(s)) if (a | b) >> x & 1]
+        run = next((x for x, kind in enumerate(kinds) if kind != kinds[0]), len(kinds))
+        return n ** len(kinds) + 12 * n ** (len(kinds) - run)
+
+    def join(i: int, j: int, h: int) -> tuple:
+        (cost_left, _, a), (cost_right, _, b) = best[i, j - 1], best[j, h]
+        cast = 1000 if 0 < i == j - 1 else 0
+        return cost_left + cost_right + n ** a.bit_count() + 12 + cast + add_cost(a, b), j, a | b
+
+    count = len(spans)
+    # best[i, h]: the cost of summing reads i .. h, its split j and its mask
+    best = {(i, i): (0, None, m) for i, m in enumerate(masks)}
+    for length in range(2, count + 1):
+        for i in range(count - length + 1):
+            h = i + length - 1
+            # min keeps the first of equal costs: j = h, the fold's split
+            best[i, h] = min((join(i, j, h) for j in range(h, i, -1)), key=lambda c: c[0])
+
+    def steps(i: int, h: int) -> list:
+        if i == h:
+            return []
+        j = best[i, h][1]
+        return steps(i, j - 1) + steps(j, h) + [(i, j, n ** (h - j + 1))]
+    plan = tuple(steps(0, count - 1))
+    return None if plan == tuple((0, j, n) for j in range(1, count)) else plan
 
 
 def window_chunks(n: int, width: int):
@@ -167,8 +236,13 @@ def _widen(vector: np.ndarray, n: int, left: int, right: int) -> np.ndarray:
     `vector` at the w letters in the middle: each entry repeated over the
     right letters, the whole tiled over the left ones, no index array.
     The tiling repeats a leading axis: np.tile does the same with a Python
-    overhead that dominates on the small tables of the structure checks."""
-    return np.repeat(vector, n**right)[None].repeat(n**left, axis=0).reshape(-1)
+    overhead that dominates on the small tables of the structure checks.
+    A side of no letters costs no copy, but the result is always new."""
+    if right:
+        vector = np.repeat(vector, n**right)
+    elif not left:
+        return vector.copy()
+    return vector[None].repeat(n**left, axis=0).reshape(-1) if left else vector
 
 
 def _same(n: int, width: int, pairs, sft: SftMatrix | None = None) -> bool:
@@ -391,9 +465,12 @@ def compose(f: StabilizedCode, g: StabilizedCode) -> StabilizedCode:
         images = tuple(f.block_map[b] for b in g.block_map)
         return StabilizedCode.from_block_permutation(n, f.period, images)
     period, radius, walk = _compose_walk(f.period, f.radius, g)
-    tables = [np.empty(window_count(n, radius), dtype=_table_dtype(n)) for _ in range(period)]
+    # one block, not period arrays: numpy asks for huge pages from 4 MiB up,
+    # which spares most of the page faults of a first write
+    tables = np.empty((period, window_count(n, radius)), dtype=_table_dtype(n))
     for ch, c, outer in walk:
-        ch.take(tables[c])[...] = f.tables[c % f.period][outer]
+        # outer < n^(2r_f+1), so wrap never wraps; raise would gather into a buffer
+        np.take(f.tables[c % f.period], outer, out=ch.take(tables[c]), mode="wrap")
     return StabilizedCode(n, period, radius, _Owned(tables))
 
 
@@ -502,8 +579,9 @@ def verify_inverse_pair(f: StabilizedCode, g: StabilizedCode) -> bool:
         return compose(f, g).shift_by == 0
     _, radius, walk = _compose_walk(f.period, f.radius, g)
     letters = np.arange(f.n, dtype=_table_dtype(f.n))
-    return all((f.tables[c % f.period][outer] == ch.take(letters, radius, 1)).all()
-               for ch, c, outer in walk)
+    # outer is in range, as in compose, so wrap never wraps
+    return all((np.take(f.tables[c % f.period], outer, mode="wrap")
+                == ch.take(letters, radius, 1)).all() for ch, c, outer in walk)
 
 
 def apply_to_periodic(code: StabilizedCode, x: PeriodicPoint) -> PeriodicPoint:

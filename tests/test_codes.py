@@ -302,6 +302,65 @@ class TestChunkBoundary:
         assert got.dtype == np.int64
         assert np.array_equal(np.broadcast_to(got, ch.shape).ravel(), np.arange(5**7))
 
+    @pytest.mark.parametrize("chunk", [WINDOW_CHUNK, 5, 25, 7], ids=lambda c: f"chunk{c}")
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.data())
+    def test_outputs_match_the_index_oracle(self, chunk, n, data):
+        width = data.draw(st.integers(1, 7))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stabaut.codes, "WINDOW_CHUNK", chunk)
+            chunks = list(window_chunks(n, width))
+        head = width - chunks[0].s
+        kind = data.draw(st.sampled_from(["sliding", "growing", "prefix", "any"]))
+        if kind == "sliding":  # compose and the inverse pins: one width, lo = a, a + 1, ...
+            w = data.draw(st.integers(1, width))
+            first = data.draw(st.integers(0, width - w))
+            spans = [(lo, w) for lo in range(first, data.draw(st.integers(first, width - w)) + 1)]
+        elif kind == "growing":  # the ray count: reads grow from slot 0, then slide
+            w = data.draw(st.integers(1, width))
+            spans = [(0, v) for v in range(1, w + 1)] + [(lo, w) for lo in range(1, width - w + 1)]
+        else:
+            span = st.integers(0, width - 1).flatmap(
+                lambda lo: st.tuples(st.just(lo), st.integers(1, width - lo)))
+            spans = data.draw(st.lists(span, min_size=1, max_size=6))
+            if kind == "prefix" and head:  # reads wholly in the prefix, among the others
+                inside = st.integers(0, head - 1).flatmap(
+                    lambda lo: st.tuples(st.just(lo), st.integers(1, head - lo)))
+                for read in data.draw(st.lists(inside, min_size=1, max_size=3)):
+                    spans.insert(data.draw(st.integers(0, len(spans))), read)
+        m = data.draw(st.sampled_from([None, 0, 1, 2, 3]))  # None: no candidate axis
+        lead = () if m is None else (m,)
+        rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+        dtype = data.draw(st.sampled_from([np.int16, np.int64, np.uint8]))
+        tables = [rng.integers(0, n, lead + (n**w,)).astype(dtype) for _, w in spans]
+        idx = np.arange(n**width)
+        want = np.arange(m or 0)[:, None] if lead else 0  # i n^len(spans) once folded
+        for table, (lo, w) in zip(tables, spans):
+            want = want * n + table[..., subwindow(idx, n, width, lo, w)].astype(np.int64)
+        reads = [(table, lo, w) for table, (lo, w) in zip(tables, spans)]
+        got = [ch.outputs(reads) for ch in chunks]
+        assert all(g.dtype == np.int64 for g in got)
+        got = [np.broadcast_to(g, lead + ch.shape).reshape(lead + (n**ch.s,)) for g, ch in zip(got, chunks)]
+        assert np.array_equal(np.concatenate(got, axis=-1), np.broadcast_to(want, lead + idx.shape))
+
+    def test_sum_order(self):
+        # the ray count's reads grow from the first slot: the left fold
+        ray = ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 7), (2, 7))
+        assert stabaut.codes._sum_order(4, 9, 8, ray) is None
+        # the benchmark's (4,2) after (2,2) pair over 5 letters: the chunk-wide
+        # sum joins reads 0..2, constant on the last two axes, with reads 3..4
+        compose_reads = tuple((lo, 5) for lo in range(5))
+        assert stabaut.codes._sum_order(5, 9, 7, compose_reads)[-1] == (0, 3, 25)
+
+    def test_sum_order_is_chosen_once_a_walk(self):
+        # the benchmark's pair: 25 chunks of 5^7 windows, each read twice,
+        # once for each class of g, at the same spans
+        f, g = seeded_code(1, 5, 4, 2), seeded_code(2, 5, 2, 2)
+        stabaut.codes._sum_order.cache_clear()
+        compose(f, g)
+        info = stabaut.codes._sum_order.cache_info()
+        assert (info.misses, info.hits) == (1, 49)
+
     @given(st.integers(2, 5), st.data())
     def test_take_reads_the_subwindow(self, n, data):
         width = data.draw(st.integers(1, 7))

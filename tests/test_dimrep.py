@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import stabaut.dimrep
 from stabaut.codes import (
+    WINDOW_CHUNK,
     Automorphism,
     CodeSizeExceeded,
     StabilizedCode,
@@ -139,6 +141,21 @@ class TestRayCountWalk:
         for tail in (0, 1):
             rc = ray_image_count(aut, tail)
             assert (rc.m, rc.count) == brute_ray_count(aut, tail)
+
+
+class TestRayCountMemory:
+    # shift^j has radius j each way, so 3j free letters: 4^9, 5^6 and 3^12
+    # extensions, in 4, 1 and 9 chunks
+    @pytest.mark.parametrize("n, j", [(4, 3), (5, 2), (3, 4)])
+    def test_peak_is_seen_and_a_few_chunks(self, n, j):
+        aut = shift_power(n, j)
+        tracemalloc.start()
+        try:
+            ray_image_count(aut)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n ** (3 * j) + 4 * WINDOW_CHUNK * 8
 
 
 class TestRayCountProperty:

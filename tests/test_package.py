@@ -151,14 +151,23 @@ def _calls(tree, name):
 
 def test_each_table_layer_job_has_one_owner():
     # one raiser of the table budget, two window-walk kernels in codes.py
-    # (comparisons and images), one inverse-pinning kernel, and sub-block
-    # maps built by _sub_block_map
+    # (comparisons and images), one chooser of the read-sum order, one
+    # inverse-pinning kernel, and sub-block maps built by _sub_block_map
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted((SRC / "stabaut").glob("*.py"))}
     raisers = {stem: _calls(tree, "CodeSizeExceeded") for stem, tree in trees.items()}
     assert {stem: names for stem, names in raisers.items() if names} == {
         "codes": ["_check_entries"]}
-    assert sorted(set(_calls(trees["codes"], "window_chunks"))) == ["_compose_walk", "_same"]
+    assert _calls(trees["codes"], "window_chunks") == ["_same", "_compose_walk"]
+    # the read-sum order is chosen in one function, and WindowChunk.outputs calls it
+    orders = {stem: _calls(tree, "_sum_order") for stem, tree in trees.items()}
+    assert {stem: names for stem, names in orders.items() if names} == {"codes": ["WindowChunk"]}
+    [chunk] = [top for top in trees["codes"].body if getattr(top, "name", None) == "WindowChunk"]
+    assert [method.name for method in chunk.body if isinstance(method, ast.FunctionDef)
+            and "_sum_order" in {getattr(node.func, "id", None) for node in ast.walk(method)
+                                 if isinstance(node, ast.Call)}] == ["outputs"]
+    assert [top.name for tree in trees.values() for top in ast.walk(tree)
+            if isinstance(top, ast.FunctionDef) and top.name == "_sum_order"] == ["_sum_order"]
     pinners = {stem: _calls(tree, "_pin_inverses") for stem, tree in trees.items()}
     assert {stem: names for stem, names in pinners.items() if names} == {
         "codes": ["find_inverse", "enumerate_automorphisms"]}
