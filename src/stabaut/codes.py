@@ -40,15 +40,18 @@ prefilter) are read through
 Tables are dense numpy arrays, so every comparison below is an exact,
 exhaustive check over all windows.  Size guards keep that honest:
 operations refuse to build tables they cannot enumerate.  The constructor
-copies the arrays a caller passes; a kernel hands over the tables it
-allocated as _Owned, which the constructor checks and keeps without a copy.
+only validates: it copies the arrays a caller passes, and a kernel hands
+over the tables it allocated as _Owned, which the constructor checks and
+keeps without a copy.  A code's structure (shift_by, block_map) is read
+off its read-only tables when first asked, by at most one _same walk
+each, and cached; most codes, the census's among them, are never asked.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -154,13 +157,9 @@ class WindowChunk:
             out = offset * self.n + out
         else:
             out = out.astype(np.int64)
-        plan = _sum_order(self.n, self.width, self.s, tuple([(lo, w) for _, lo, w in reads]))
-        if plan is None:  # the left fold, each read taken as it is added
-            for table, lo, w in reads[1:]:
-                out = out * self.n + self.take(table, lo, w)
-            return out
         terms = [out] + [self.take(*read) for read in reads[1:]]
-        for i, j, power in plan:
+        for i, j, power in _sum_order(self.n, self.width, self.s,
+                                      tuple([(lo, w) for _, lo, w in reads])):
             # dtype= keeps the product int64 under any promotion rules
             terms[i] = np.multiply(terms[i], power, dtype=np.int64) + terms[j]
             terms[j] = None
@@ -168,14 +167,13 @@ class WindowChunk:
 
 
 @functools.lru_cache(maxsize=256)
-def _sum_order(n: int, width: int, s: int, spans) -> tuple | None:
+def _sum_order(n: int, width: int, s: int, spans) -> tuple:
     """The steps (i, j, power) by which WindowChunk.outputs adds its reads
     at `spans`, one (lo, w) each, in chunks of s free slots of `width`:
     each step sets term i to term i * power + term j, and term 0 ends as
     the index.  A step joins the sums of the reads i .. j-1 and j .. h,
-    with power n^(h-j+1), so the steps are a bracketing of the sum.  None
-    stands for the left fold, (0, 1, n), (0, 2, n), ..., which outputs
-    runs as a plain loop.
+    with power n^(h-j+1), so the steps are a bracketing of the sum; the
+    left fold is (0, 1, n), (0, 2, n), ....
 
     numpy adds two terms broadcast to a shape in one inner loop per run
     of trailing axes along which each term either varies throughout or is
@@ -214,8 +212,7 @@ def _sum_order(n: int, width: int, s: int, spans) -> tuple | None:
             return []
         j = best[i, h][1]
         return steps(i, j - 1) + steps(j, h) + [(i, j, n ** (h - j + 1))]
-    plan = tuple(steps(0, count - 1))
-    return None if plan == tuple((0, j, n) for j in range(1, count)) else plan
+    return tuple(steps(0, count - 1))
 
 
 def window_chunks(n: int, width: int):
@@ -237,11 +234,10 @@ def _widen(vector: np.ndarray, n: int, left: int, right: int) -> np.ndarray:
     right letters, the whole tiled over the left ones, no index array.
     The tiling repeats a leading axis: np.tile does the same with a Python
     overhead that dominates on the small tables of the structure checks.
-    A side of no letters costs no copy, but the result is always new."""
+    A side of no letters costs no copy, so with none on either side the
+    result is `vector` itself."""
     if right:
         vector = np.repeat(vector, n**right)
-    elif not left:
-        return vector.copy()
     return vector[None].repeat(n**left, axis=0).reshape(-1) if left else vector
 
 
@@ -259,72 +255,36 @@ def _same(n: int, width: int, pairs, sft: SftMatrix | None = None) -> bool:
     return True
 
 
-def _derive_shift(n: int, radius: int, tables) -> int | None:
-    """j if every table copies the input at offset j, else None."""
-    width = 2 * radius + 1
-    # the window with a single 1 at slot s reads 1 exactly when s = radius + j
-    hits = np.flatnonzero(tables[0][n ** np.arange(width - 1, -1, -1)] == 1) if n > 1 else [radius]
-    if len(hits) == 1 and _same(n, width, [((t, 0, width), (np.arange(n), int(hits[0]), 1))
-                                           for t in tables]):
-        return int(hits[0]) - radius
-    return None
-
-
-def _derive_block_map(n: int, k: int, radius: int, tables, shift_by) -> tuple[int, ...] | None:
-    """The permutation of aligned k-blocks the code applies, if any.
-
-    Class c may read only the slots of the block holding the centre,
-    radius-c .. radius-c+k-1 clipped to the window, and the induced map
-    on blocks must be bijective.  None also when the block form (radius
-    k-1) would not fit the table budget, or for a nonzero shift, which
-    moves letters across block boundaries.
-    """
-    if _power_exceeds(n, 2 * k - 1, MAX_TABLE_ENTRIES, k) or shift_by not in (None, 0):
-        return None
-    if shift_by == 0:
-        return tuple(range(n**k))
-    width = 2 * radius + 1
-    images = np.zeros(n**k, dtype=np.int64)
-    for c, t in enumerate(tables):
-        lo, hi = max(0, radius - c), min(width, radius - c + k)
-        # t at the windows with every slot outside lo .. hi-1 set to 0
-        image = t[: n ** (width - lo): n ** (width - hi)]
-        if not _same(n, width, [((t, 0, width), (image, lo, hi - lo))]):
-            return None
-        # block slots lo - radius + c .. hi - 1 - radius + c are those window slots
-        images = images * n + _widen(image, n, lo - radius + c, k - hi + radius - c)
-    return tuple(images.tolist()) if np.bincount(images, minlength=n**k).min() == 1 else None
-
-
 class _Owned(tuple):
     """Tables a kernel allocated for the code it builds and holds nowhere
-    else: the constructor keeps them as they are, without a copy."""
+    else, or tables of a code already built, which are checked and
+    read-only (refine at the same radius): the constructor keeps them as
+    they are, without a copy."""
 
 
 @dataclass(frozen=True, eq=False)
 class StabilizedCode:
     """k position-dependent block maps of common radius r over A = {0..n-1}.
 
-    The structure is derived from the tables at construction and never
+    The structure is read off the tables when first asked and never
     passed in, so a code loaded from a file keeps the fast paths of the
     constructor that made it: `shift_by` is j when the code is the j-th
     shift power, and `block_map` is the permutation of aligned
     `period`-blocks when the code acts blockwise.  compose() and equals()
-    take a structured shortcut on either.  The constructor is the one
-    validator, from a file or from code, of the shape against the budget
-    (first) and of each table: n^(2r+1) integer letters in 0 .. n-1.  It
-    takes a read-only copy of each distinct array it is given, so classes
-    that share an array share its copy, and a caller that mutates its
-    arrays later does not change the code; kernels hand over the tables
-    they allocated as _Owned, which are checked the same way and kept.
+    take a structured shortcut on either.  Both are cached, which the
+    read-only tables make sound, and reading them never raises.  The
+    constructor only validates, from a file or from code, the shape
+    against the budget (first) and each table: n^(2r+1) integer letters
+    in 0 .. n-1.  It takes a read-only copy of each distinct array it is
+    given, so classes that share an array share its copy, and a caller
+    that mutates its arrays later does not change the code; kernels hand
+    over their tables as _Owned, which are checked the same way and kept.
     """
 
     n: int
     period: int
     radius: int
     tables: tuple[np.ndarray, ...]
-    shift_by: int | None = field(init=False, default=None)
-    block_map: tuple[int, ...] | None = field(init=False, default=None)
 
     def __post_init__(self):
         if (any(type(v) is not int for v in (self.n, self.period, self.radius))
@@ -352,10 +312,49 @@ class StabilizedCode:
             arr.flags.writeable = False
             fixed[id(t)] = arr
         object.__setattr__(self, "tables", tuple([fixed[id(t)] for t in self.tables]))
-        j = _derive_shift(self.n, self.radius, self.tables)
-        bm = _derive_block_map(self.n, self.period, self.radius, self.tables, j)
-        object.__setattr__(self, "shift_by", j)
-        object.__setattr__(self, "block_map", bm)
+
+    # -- structure, read off the tables when first asked -------------
+
+    @functools.cached_property
+    def shift_by(self) -> int | None:
+        """j if every table copies the input at offset j, else None."""
+        n, width = self.n, 2 * self.radius + 1
+        # the window with a single 1 at slot s reads 1 exactly when s = radius + j
+        hits = (np.flatnonzero(self.tables[0][n ** np.arange(width - 1, -1, -1)] == 1)
+                if n > 1 else [self.radius])
+        if len(hits) == 1 and _same(n, width, [((t, 0, width), (np.arange(n), int(hits[0]), 1))
+                                               for t in self.tables]):
+            return int(hits[0]) - self.radius
+        return None
+
+    @functools.cached_property
+    def block_map(self) -> tuple[int, ...] | None:
+        """The permutation of aligned period-blocks the code applies, if any.
+
+        Class c may read only the slots of the block holding the centre,
+        radius-c .. radius-c+k-1 clipped to the window, and the induced
+        map on blocks must be bijective; one walk checks the classes whose
+        block is narrower than the window.  None also when the block form
+        (radius k-1) would not fit the table budget, or for a nonzero
+        shift, which moves letters across block boundaries.
+        """
+        n, k, radius, tables = self.n, self.period, self.radius, self.tables
+        if _power_exceeds(n, 2 * k - 1, MAX_TABLE_ENTRIES, k) or self.shift_by not in (None, 0):
+            return None
+        if self.shift_by == 0:
+            return tuple(range(n**k))
+        width = 2 * radius + 1
+        spans = [(max(0, radius - c), min(width, radius - c + k)) for c in range(k)]
+        # table c at the windows with every slot outside lo .. hi-1 set to 0
+        cuts = [t[: n ** (width - lo): n ** (width - hi)] for t, (lo, hi) in zip(tables, spans)]
+        if not _same(n, width, [((t, 0, width), (cut, lo, hi - lo)) for t, cut, (lo, hi)
+                                in zip(tables, cuts, spans) if hi - lo < width]):
+            return None
+        images = np.zeros(n**k, dtype=np.int64)
+        for c, (cut, (lo, hi)) in enumerate(zip(cuts, spans)):
+            # block slots lo - radius + c .. hi - 1 - radius + c are those window slots
+            images = images * n + _widen(cut, n, lo - radius + c, k - hi + radius - c)
+        return tuple(images.tolist()) if np.bincount(images, minlength=n**k).min() == 1 else None
 
     # -- constructors ------------------------------------------------
 
@@ -368,7 +367,7 @@ class StabilizedCode:
         """The j-th shift power: output at z copies the input at z + j."""
         r = abs(j)
         _check_size(n, r, 1)
-        return cls(n, 1, r, (_widen(np.arange(n, dtype=_table_dtype(n)), n, r + j, r - j),))
+        return cls(n, 1, r, _Owned((_widen(np.arange(n, dtype=_table_dtype(n)), n, r + j, r - j),)))
 
     @classmethod
     def from_block_permutation(cls, n: int, k: int, images: tuple[int, ...]) -> "StabilizedCode":
@@ -381,7 +380,7 @@ class StabilizedCode:
         if sorted(images) != list(range(n**k)):
             raise ValueError("images must permute the n^k blocks")
         img = np.asarray(images, dtype=np.int64)
-        return cls(n, k, k - 1, tuple(
+        return cls(n, k, k - 1, _Owned(
             _widen(subwindow(img, n, k, c, 1).astype(_table_dtype(n)), n, k - 1 - c, c)
             for c in range(k)))
 
@@ -409,7 +408,7 @@ class StabilizedCode:
         pad = radius - self.radius
         wide = [_widen(t, self.n, pad, pad) for t in self.tables] if pad else self.tables
         return StabilizedCode(self.n, period, radius,
-                              tuple(wide[c % self.period] for c in range(period)))
+                              _Owned(wide[c % self.period] for c in range(period)))
 
     def __repr__(self):
         return f"StabilizedCode(n={self.n}, period={self.period}, radius={self.radius})"

@@ -19,6 +19,7 @@ from stabaut.codes import (
     CodeSizeExceeded,
     StabilizedCode,
     _bijective_on_periodics,
+    _Owned,
     _pin_inverses,
     _power_exceeds,
     _Stack,
@@ -346,7 +347,7 @@ class TestChunkBoundary:
     def test_sum_order(self):
         # the ray count's reads grow from the first slot: the left fold
         ray = ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 7), (2, 7))
-        assert stabaut.codes._sum_order(4, 9, 8, ray) is None
+        assert stabaut.codes._sum_order(4, 9, 8, ray) == tuple((0, j, 4) for j in range(1, 9))
         # the benchmark's (4,2) after (2,2) pair over 5 letters: the chunk-wide
         # sum joins reads 0..2, constant on the last two axes, with reads 3..4
         compose_reads = tuple((lo, 5) for lo in range(5))
@@ -762,6 +763,58 @@ class TestStructureChecked:
         assert (code.shift_by, code.block_map) == (None, None)
         # two reads for the shift check, two for class 0 of the block check
         assert prefixes == [0, 0, 0, 0]
+
+
+def counted_walks(monkeypatch):
+    """[_same calls, windows walked], counted from now on."""
+    counts = [0, 0]
+    same, chunks = stabaut.codes._same, stabaut.codes.window_chunks
+    def counted_same(*args):
+        counts[0] += 1
+        return same(*args)
+    def counted_chunks(n, width):
+        for ch in chunks(n, width):
+            counts[1] += n**ch.s
+            yield ch
+    monkeypatch.setattr(stabaut.codes, "_same", counted_same)
+    monkeypatch.setattr(stabaut.codes, "window_chunks", counted_chunks)
+    return counts
+
+
+class TestStructureOnDemand:
+    """The constructor only validates; shift_by and block_map are read off
+    the tables when first asked, and cached."""
+
+    def test_census_codes_are_built_without_a_walk(self, monkeypatch):
+        counts = counted_walks(monkeypatch)
+        auts = enumerate_automorphisms(2, 1, 2)
+        assert 2 * len(auts) == 216 and counts[0] == 0
+
+    def test_compose_and_owned_tables_build_without_a_walk(self, monkeypatch):
+        f, g = seeded_code(1, 3, 2, 1), seeded_code(2, 3, 1, 1)
+        assert (f.shift_by, f.block_map, g.shift_by, g.block_map) == (None,) * 4
+        counts = counted_walks(monkeypatch)
+        fg = compose(f, g)
+        code = StabilizedCode(3, 2, 1, _Owned(np.array(t) for t in f.tables))
+        assert counts[0] == 0
+        assert (fg.block_map, code.block_map) == (None, None) and counts[0] > 0
+
+    def test_block_map_walks_once_when_first_read(self, monkeypatch):
+        code = FLIP_ON_EVEN.refine(2, 1)
+        assert code.shift_by is None
+        counts = counted_walks(monkeypatch)
+        assert code.block_map == (2, 3, 0, 1) and counts[0] == 1
+        assert code.block_map == (2, 3, 0, 1) and counts[0] == 1
+
+    def test_radius_zero_block_map_walks_no_window(self, monkeypatch):
+        # every class's block is its whole 1-letter window: only the shift
+        # check walks, over the 2 windows
+        tables = [np.array([1, 0]) if c % 3 else np.array([0, 1]) for c in range(8)]
+        counts = counted_walks(monkeypatch)
+        code = StabilizedCode(2, 8, 0, tuple(tables))
+        assert counts == [0, 0]
+        assert code.shift_by is None and counts == [1, 2]
+        assert code.block_map == tuple(b ^ 0b01101101 for b in range(256)) and counts == [2, 2]
 
 
 class TestTableValidation:

@@ -152,7 +152,8 @@ def _calls(tree, name):
 def test_each_table_layer_job_has_one_owner():
     # one raiser of the table budget, two window-walk kernels in codes.py
     # (comparisons and images), one chooser of the read-sum order, one
-    # inverse-pinning kernel, and sub-block maps built by _sub_block_map
+    # inverse-pinning kernel, sub-block maps built by _sub_block_map, and
+    # a code's structure derived outside its constructor
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted((SRC / "stabaut").glob("*.py"))}
     raisers = {stem: _calls(tree, "CodeSizeExceeded") for stem, tree in trees.items()}
@@ -168,6 +169,14 @@ def test_each_table_layer_job_has_one_owner():
                                  if isinstance(node, ast.Call)}] == ["outputs"]
     assert [top.name for tree in trees.values() for top in ast.walk(tree)
             if isinstance(top, ast.FunctionDef) and top.name == "_sum_order"] == ["_sum_order"]
+    # the constructor only validates: structure is read off the tables when first asked
+    [code] = [top for top in trees["codes"].body if getattr(top, "name", None) == "StabilizedCode"]
+    [init] = [method for method in code.body if getattr(method, "name", None) == "__post_init__"]
+    called = {getattr(node.func, "id", None) for node in ast.walk(init)
+              if isinstance(node, ast.Call)}
+    assert called.isdisjoint({"_same", "window_chunks", "_widen"})
+    assert [top.name for top in trees["codes"].body if isinstance(top, ast.FunctionDef)
+            and top.name.startswith("_derive")] == []
     pinners = {stem: _calls(tree, "_pin_inverses") for stem, tree in trees.items()}
     assert {stem: names for stem, names in pinners.items() if names} == {
         "codes": ["find_inverse", "enumerate_automorphisms"]}
