@@ -23,17 +23,22 @@ index of a code's outputs at several sub-windows is a sum of such reads
 (WindowChunk.outputs), added in the bracketing that _sum_order picks
 from their spans of free slots, once for a walk, so that the sums over
 a whole chunk run long inner loops.  Chunks keep peak RSS bounded at
-any radius.  Two kernels walk the chunks: _same, every whole-window
-comparison of table reads (equals, commutation with shift powers, the
-structure checks), which stops at the first chunk that differs; and
-_compose_walk, every image of one code read after another (compose, the
-dense inverse check, and the inverse pinning of _pin_inverses).  Table
-reads take an optional leading candidate axis, so one walk pins the
-inverses of a stack of same-shape codes: find_inverse runs it on one
-code, the census on all its prefilter survivors at once.  Maps on words of
-sub-blocks and derived block images are built with _widen.  Digits of
-arbitrary index arrays (the images in from_block_permutation, the census
-prefilter) are read through
+any radius.  In this module two kernels walk the chunks: _same, every
+whole-window comparison of table reads (equals, commutation with shift
+powers, the structure checks), which stops at the first chunk that
+differs; and _compose_walk, every image of one code read after another
+(compose, the dense inverse check, and the inverse pinning of
+_pin_inverses).  Outside this module the ray count (dimrep),
+_recode_code (generators) and embed_code (krembed) walk them,
+embed_code twice: once over the 2r+1 slots its classes read, to fill
+one compact table per source class, and once over the whole window, to
+spread those tables in rows.  Table reads take an optional leading
+candidate axis, so one walk pins the inverses of a stack of same-shape
+codes: find_inverse runs it on one code, the census on all its
+prefilter survivors at once.  Maps on words of sub-blocks and derived
+block images are built with _widen.  Digits of arbitrary index arrays
+(the images in from_block_permutation, the census prefilter) are read
+through
 
     subwindow(idx, n, width, lo, w) = (idx // n^(width-lo-w)) % n^w
 
@@ -322,8 +327,10 @@ class StabilizedCode:
         # the window with a single 1 at slot s reads 1 exactly when s = radius + j
         hits = (np.flatnonzero(self.tables[0][n ** np.arange(width - 1, -1, -1)] == 1)
                 if n > 1 else [self.radius])
-        if len(hits) == 1 and _same(n, width, [((t, 0, width), (np.arange(n), int(hits[0]), 1))
-                                               for t in self.tables]):
+        # the letters in the table dtype, so _same compares them without a cast
+        if len(hits) == 1 and _same(n, width, [
+                ((t, 0, width), (np.arange(n, dtype=t.dtype), int(hits[0]), 1))
+                for t in self.tables]):
             return int(hits[0]) - self.radius
         return None
 

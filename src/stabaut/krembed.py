@@ -21,6 +21,7 @@ multiplicative; with the naive diagonal action it provably is not.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -230,72 +231,89 @@ def embed_code(code: StabilizedCode, scheme: MarkerScheme) -> StabilizedCode:
           (shift.phi.shift^-1)(lower row) at -floor(z/R) ),
 
     evaluated by walking the stretch at most r steps each way, so radius
-    r*R suffices (the walk moves R letters per step and membership
-    probes stay one step ahead of the values read).  Each source window
-    index is a sum over the 2r+1 slots read of look[case*q + letter], one
-    lookup per walk and slot built before the windows are walked.  The conjugated
+    W = r*R suffices (the walk moves R letters per step and membership
+    probes stay one step ahead of the values read).  The conjugated
     lower-row action is the same window lookup with the position class
     advanced by one; it keeps the embedding multiplicative (see the
     module docstring) and is invisible for period-1 sources.
+
+    Output class c reads source class c // R, and only at the 2r+1 slots
+    W + m*R, so two walks build the rows of one (k, q^(2W+1)) block.  The
+    first fills a compact table per source class over the read slots
+    alone: a source window index is a sum over them of look[case*q +
+    letter].  The second spreads those tables over the window chunk by
+    chunk: the head's read letters pick a contiguous slice, and the
+    unread slots but the first are repeated in, so the copy runs along
+    long rows.  At gap 1 or radius 0 the compact tables are the block.
     """
     if code.n != scheme.n:
         raise ValueError("code alphabet must match the scheme's source alphabet")
     n, k, r = code.n, code.period, code.radius
     q, R = scheme.q, scheme.gap
-    period = k * R
-    W = r * R
-    width = 2 * W + 1
+    period, W = k * R, r * R
+    width, reads = 2 * W + 1, 2 * r + 1
     _check_size(q, W, period)
     letters = np.arange(q, dtype=np.int64)
     is_data = letters < n**2
     hi, lo = np.divmod(letters % n**2, n)
-    lookups = [[(w[:, 2 * m, None] * hi + w[:, 2 * m + 1, None] * lo).ravel()
-                for m in range(2 * r + 1)] for w in _walk_weights(n, r)]
-    # output class c depends on j0 = c // R alone: one table per source class
-    tables = [np.empty(q**width, dtype=_table_dtype(q)) for _ in range(k)]
-    for ch in window_chunks(q, width):
-        # the walk reads and probes only the letters at slots W + m*R, each
-        # an axis of the chunk (or a constant), so every array below spans
-        # those axes only
-        slots = [ch.take(letters, W + m * R, 1) for m in range(-r, r + 1)]
+    w = _walk_weights(n, r)
+    # lookups[walk, m, case*q + letter]: the letter's share of the walk's window
+    lookups = (w[..., :1] * hi + w[..., 1:] * lo).transpose(0, 2, 1, 3).reshape(2, reads, -1)
+    block = np.empty((k, q**width), dtype=_table_dtype(q))
+    compact = block if width == reads else np.empty((k, q**reads), dtype=block.dtype)
+    for ch in window_chunks(q, reads):
+        slots = [ch.take(letters, m, 1) for m in range(reads)]
         data = [is_data[a] for a in slots]
         case = _stretch_case(data, r) * q
         win_u, win_l = (sum(look[case + a] for look, a in zip(walk, slots)) for walk in lookups)
         for j0 in range(k):
             upper = code.tables[j0][win_u].astype(np.int64)
             encoded = upper * n + code.tables[(1 - j0) % k][win_l]
-            ch.take(tables[j0])[...] = np.where(data[r], encoded, slots[r])
-    return StabilizedCode(q, period, W, _Owned(tables[c // R] for c in range(period)))
+            ch.take(compact[j0])[...] = np.where(data[r], encoded, slots[r])
+    spread = at = None
+    for ch in window_chunks(q, width) if compact is not block else ():
+        head = width - ch.s
+        # the head's letters at slots 0, R, .. lead the compact index
+        lead = -(-head // R)
+        base = sum(ch.prefix // q ** (head - 1 - i * R) % q * q ** (reads - 1 - i)
+                   for i in range(lead))
+        if base != at:  # chunks that differ only at unread head slots share it
+            shape = [q if x % R == 0 else 1 for x in range(head, width)]
+            spread, at = compact[:, base: base + q ** (reads - lead)].reshape((k, *shape)), base
+            for axis in [1 + i for i, size in enumerate(shape) if size == 1][1:]:
+                spread = spread.repeat(q, axis)
+        ch.take(block)[...] = spread
+    rows = list(block)
+    return StabilizedCode(q, period, W, _Owned(rows[c // R] for c in range(period)))
 
 
-def _walk_weights(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=64)
+def _walk_weights(n: int, r: int) -> np.ndarray:
     """How the source windows read by r-step walks are made of slot letters.
 
     Seen from a data letter at slot 0, the stretch occupies the slots
     -e_left .. e_right (each capped at r, as an r-step walk probes no
     further), so the walk depends on the case e_right*(r+1) + e_left
-    alone.  For the walk starting in the upper (first array) or lower
-    (second) row, entry [case, 2*(m+r) + row] sums the place values
-    n^(2r-i) of the window slots i read from slot m in that row (0 for
-    the upper component, 1 for the lower).
+    alone.  For the walk starting in the upper (walk 0) or lower (walk 1)
+    row, entry [walk, case, m + r, row] sums the place values n^(2r-i) of
+    the window slots i read from slot m in that row (0 for the upper
+    component, 1 for the lower).  Memoised, and read-only.
     """
-    out = []
-    for start_upper in (True, False):
-        w = np.zeros(((r + 1) ** 2, 2 * (2 * r + 1)), dtype=np.int64)
-        for e_right, e_left in itertools.product(range(r + 1), repeat=2):
-            case = e_right * (r + 1) + e_left
-            w[case, 2 * r + (not start_upper)] += n**r
-            for sign in (1, -1):
-                m, upper = 0, start_upper
-                for z in range(1, r + 1):
-                    step = sign if upper else -sign
-                    if -e_left <= m + step <= e_right:
-                        m += step
-                    else:
-                        upper = not upper
-                    w[case, 2 * (m + r) + (not upper)] += n ** (r - sign * z)
-        out.append(w)
-    return out[0], out[1]
+    w = np.zeros((2, (r + 1) ** 2, 2 * r + 1, 2), dtype=np.int64)
+    for walk, e_right, e_left in itertools.product(range(2), range(r + 1), range(r + 1)):
+        case = e_right * (r + 1) + e_left
+        w[walk, case, r, walk] += n**r
+        for sign in (1, -1):
+            m, upper = 0, not walk
+            for z in range(1, r + 1):
+                step = sign if upper else -sign
+                if -e_left <= m + step <= e_right:
+                    m += step
+                else:
+                    upper = not upper
+                w[walk, case, m + r, int(not upper)] += n ** (r - sign * z)
+    w.flags.writeable = False
+    return w
 
 
 def _stretch_case(data: list[np.ndarray], r: int) -> np.ndarray:

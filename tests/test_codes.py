@@ -816,6 +816,26 @@ class TestStructureOnDemand:
         assert code.shift_by is None and counts == [1, 2]
         assert code.block_map == tuple(b ^ 0b01101101 for b in range(256)) and counts == [2, 2]
 
+    def test_reads_compared_share_a_dtype(self, monkeypatch):
+        # a pair of reads of two dtypes would make _same compare every chunk
+        # through a buffered cast
+        pairs = []
+        same = stabaut.codes._same
+        def checked_same(n, width, reads, sft=None):
+            pairs.extend((a[0].dtype, b[0].dtype) for a, b in reads)
+            return same(n, width, reads, sft)
+        monkeypatch.setattr(stabaut.codes, "_same", checked_same)
+        shift = StabilizedCode(5, 1, 2, shift_power(5, -2).forward.tables)
+        wide = StabilizedCode(40000, 1, 0, (np.arange(40000),))
+        assert (shift.shift_by, wide.shift_by) == (-2, 0)
+        blocks = StabilizedCode(2, 2, 1, FLIP_ON_EVEN.refine(2, 1).tables)
+        assert blocks.shift_by is None and blocks.block_map == (2, 3, 0, 1)
+        f, g = seeded_code(3, 3, 2, 1), seeded_code(4, 3, 1, 2)
+        assert not equals(f, g) and not equals(f, g, GOLDEN_MEAN)
+        assert not commutes_with_shift_power(f, 1)
+        assert len(pairs) >= 6 and {str(b) for _, b in pairs} == {"int16", "int32"}
+        assert all(a == b for a, b in pairs)
+
 
 class TestTableValidation:
     """The constructor validates every table before the narrowing cast."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stabaut.codes
 from stabaut.codes import (
     WINDOW_CHUNK,
     CodeSizeExceeded,
@@ -17,6 +18,7 @@ from stabaut.codes import (
     compose,
     equals,
     verify_inverse_pair,
+    window_chunks,
 )
 from stabaut.dimrep import dimension_multiplier
 from stabaut.generators import (
@@ -300,9 +302,9 @@ class TestEmbedCode:
                 x = PeriodicPoint(tuple(letters.choices(range(5), k=length)))
                 assert apply_to_periodic(e, x) == embed_oracle(code, scheme, x)
 
-    @pytest.mark.parametrize("radius, gap", [(1, 2), (1, 3), (2, 1)])
+    @pytest.mark.parametrize("radius, gap", [(1, 2), (1, 3), (2, 1), (0, 2), (0, 3)])
     def test_with_small_chunks(self, small_chunk, radius, gap):
-        # windows of 5, 7 and 5 letters over 5, split after every letter
+        # windows of 5, 7, 5 and 1 letters over 5, split after every letter
         rng = np.random.default_rng(gap)
         code = StabilizedCode(2, 2, radius, tuple(
             rng.integers(0, 2, 2 ** (2 * radius + 1)) for _ in range(2)))
@@ -312,6 +314,34 @@ class TestEmbedCode:
         for length in (1, 3, 4, 6, 7, 12):
             x = PeriodicPoint(tuple(letters.choices(range(5), k=length)))
             assert apply_to_periodic(e, x) == embed_oracle(code, scheme, x)
+
+    @pytest.mark.parametrize("small_chunk", [25, 125], indirect=True, ids=lambda c: f"chunk{c}")
+    def test_read_slots_straddle_the_chunk_head(self, small_chunk, monkeypatch):
+        # radius 1 at gap 2 reads slots 0, 2 and 4 of 5: chunks of 25 windows
+        # leave slot 2 in the head, chunks of 125 free it, with the unread
+        # slot 3 between two free read slots
+        assert next(window_chunks(5, 5)).s == {25: 2, 125: 3}[small_chunk]
+        rng = np.random.default_rng(small_chunk)
+        code = StabilizedCode(2, 2, 1, tuple(rng.integers(0, 2, 8) for _ in range(2)))
+        e = embed_code(code, SCHEME)
+        letters = random.Random(small_chunk)
+        for length in (1, 3, 4, 6, 7, 12):
+            x = PeriodicPoint(tuple(letters.choices(range(5), k=length)))
+            assert apply_to_periodic(e, x) == embed_oracle(code, SCHEME, x)
+        monkeypatch.setattr(stabaut.codes, "WINDOW_CHUNK", WINDOW_CHUNK)
+        whole = embed_code(code, SCHEME)
+        assert all(np.array_equal(a, b) for a, b in zip(e.tables, whole.tables))
+
+    @pytest.mark.parametrize("gap", [1, 2, 3])
+    def test_classes_are_rows_of_one_block(self, gap):
+        # one (k, q^(2W+1)) block, row c // R for class c, whether the compact
+        # tables are spread over it (radius 1 at gap 2 or 3) or are it
+        scheme = find_marker_scheme(5, 2, gap)
+        for aut in (flip_on_even(2), period_three(1)):
+            e = embed_code(aut.forward, scheme)
+            [block] = {id(t.base): t.base for t in e.tables}.values()
+            assert block.shape == (aut.period, 5 ** (2 * e.radius + 1))
+            assert all(np.shares_memory(t, block[c // gap]) for c, t in enumerate(e.tables))
 
     def test_memory_is_tables_and_a_few_chunks(self):
         # the benchmark's radius-2 embed: 4 classes of 5^9 windows, built as

@@ -149,6 +149,18 @@ def _calls(tree, name):
                                                        getattr(node.func, "attr", None))]
 
 
+def test_embed_code_walks_the_read_slots_then_the_window():
+    # one walk over the 2r+1 read slots fills the compact tables, one over
+    # the whole window spreads them: a walk that writes the whole window from
+    # the read slots' axes would copy rows of q letters
+    tree = ast.parse((SRC / "stabaut" / "krembed.py").read_text())
+    walks = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "window_chunks"]
+    assert _calls(tree, "window_chunks") == ["embed_code", "embed_code"]
+    assert [ast.unparse(walk.args[1]) for walk in sorted(walks, key=lambda walk: walk.lineno)] == [
+        "reads", "width"]
+
+
 def test_each_table_layer_job_has_one_owner():
     # one raiser of the table budget, two window-walk kernels in codes.py
     # (comparisons and images), one chooser of the read-sum order, one
