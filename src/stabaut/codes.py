@@ -35,10 +35,10 @@ one compact table per source class, and once over the whole window, to
 spread those tables in rows.  Table reads take an optional leading
 candidate axis, so one walk pins the inverses of a stack of same-shape
 codes: find_inverse runs it on one code, the census on all its
-prefilter survivors at once.  Maps on words of sub-blocks and derived
-block images are built with _widen.  Digits of arbitrary index arrays
-(the images in from_block_permutation, the census prefilter) are read
-through
+prefilter survivors at once.  Derived block images are built with
+_widen, as are the maps on words of sub-blocks (generators).  Digits of
+arbitrary index arrays (the images in from_block_permutation, the census
+prefilter) are read through
 
     subwindow(idx, n, width, lo, w) = (idx // n^(width-lo-w)) % n^w
 
@@ -275,8 +275,8 @@ class StabilizedCode:
     passed in, so a code loaded from a file keeps the fast paths of the
     constructor that made it: `shift_by` is j when the code is the j-th
     shift power, and `block_map` is the permutation of aligned
-    `period`-blocks when the code acts blockwise.  compose() and equals()
-    take a structured shortcut on either.  Both are cached, which the
+    `period`-blocks when the code acts blockwise.  compose() takes a
+    structured shortcut on either.  Both are cached, which the
     read-only tables make sound, and reading them never raises.  The
     constructor only validates, from a file or from code, the shape
     against the budget (first) and each table: n^(2r+1) integer letters
@@ -428,8 +428,8 @@ def _structured(f: StabilizedCode, g: StabilizedCode) -> bool:
     if f.n != g.n:
         raise ValueError("alphabet mismatch")
     return (f.shift_by is not None and g.shift_by is not None) or (
-        f.block_map is not None and g.block_map is not None
-        and f.period == g.period and f.radius + g.radius >= f.period - 1)
+        f.period == g.period and f.radius + g.radius >= f.period - 1
+        and f.block_map is not None and g.block_map is not None)
 
 
 def _compose_walk(k: int, r: int, g):
@@ -510,44 +510,21 @@ def _off_sft(n: int, sft: SftMatrix):
     return off
 
 
-def _sub_block_map(nk: int, parts) -> np.ndarray:
-    """The images of the map on words of m = len(parts) sub-blocks over nk
-    letters, leftmost-significant, whose output sub-block j is img_j of
-    input sub-block src_j, for parts = [(img_j, src_j), ...]: each term is
-    img_j widened over the other m - 1 sub-blocks, with no index array."""
-    m, out = len(parts), 0
-    for img, src in parts:
-        out = out * nk + _widen(np.asarray(img, dtype=np.int64), nk, src, m - 1 - src)
-    return out
-
-
-def _inflate_block_map(n: int, k: int, images: tuple[int, ...], t: int) -> np.ndarray:
-    """Diagonal action of an aligned k-block permutation on kt-blocks."""
-    return _sub_block_map(n**k, [(images, i) for i in range(t)])
-
-
 def equals(f: StabilizedCode, g: StabilizedCode, sft: SftMatrix | None = None) -> bool:
-    """Exact pointwise equality of the induced maps.
-
-    Both codes are read in place over the windows of the common radius R,
-    and the walk stops at the first chunk that differs.  Codes of different
-    shapes are refused where their refinements to the common shape would
-    be, so the budget bounds windows walked, not bytes held.  With `sft`,
-    the walk masks out windows that are not paths of that SFT.
+    """Exact pointwise equality of the induced maps, on one path for every
+    pair: both codes are read in place over the windows of the common
+    radius R, and the walk stops at the first chunk that differs.  Codes of
+    different shapes are refused, before anything is read, where their
+    refinements to the common shape would be, so the budget bounds windows
+    walked, not bytes held.  No structure is read: a blockwise pair would
+    pay about this walk to derive its block maps.  With `sft`, the walk
+    masks out windows that are not paths of that SFT.
     """
     if f.n != g.n:
         raise ValueError("alphabet mismatch")
     n = f.n
     period = lcm(f.period, g.period)
     radius = max(f.radius, g.radius)
-    if (sft is None and f.block_map is not None and g.block_map is not None
-            and n**period <= window_count(n, radius) * period):
-        # aligned blockwise codes agree as maps iff their block
-        # permutations agree after inflating to the common period (no
-        # larger than the refined tables)
-        fm = _inflate_block_map(n, f.period, f.block_map, period // f.period)
-        gm = _inflate_block_map(n, g.period, g.block_map, period // g.period)
-        return np.array_equal(fm, gm)
     if (f.period, f.radius) != (g.period, g.radius):
         _check_size(n, radius, period)
     # class c of h reads table c mod k_h at slots R - r_h .. R + r_h

@@ -15,10 +15,9 @@ from .codes import (
     StabilizedCode,
     _check_entries,
     _check_size,
-    _inflate_block_map,
     _Owned,
-    _sub_block_map,
     _table_dtype,
+    _widen,
     code_power,
     compose_all,
     equals,
@@ -99,6 +98,17 @@ def edge_permutation_code(sft: SftMatrix, perm: Permutation) -> Automorphism:
     return periodic_letter_permutation(len(ends), [perm])
 
 
+def _sub_block_map(nk: int, parts) -> np.ndarray:
+    """The images of the map on words of m = len(parts) sub-blocks over nk
+    letters, leftmost-significant, whose output sub-block j is img_j of
+    input sub-block src_j, for parts = [(img_j, src_j), ...]: each term is
+    img_j widened over the other m - 1 sub-blocks, with no index array."""
+    m, out = len(parts), 0
+    for img, src in parts:
+        out = out * nk + _widen(np.asarray(img, dtype=np.int64), nk, src, m - 1 - src)
+    return out
+
+
 def swap_commutator_witness(
     n: int,
     tau: Permutation,
@@ -177,7 +187,8 @@ def inflate(perm: SimpleGraphPerm, t: int) -> tuple[SimpleGraphPerm, InflateRepo
         raise ValueError("t must be >= 1")
     n, m = perm.n, perm.m
     _check_entries(n, m * t, 1, f"{n}^{m * t} inflated blocks")
-    big = Permutation(tuple(_inflate_block_map(n, m, perm.perm.images, t).tolist()))
+    images = _sub_block_map(n**m, [(perm.perm.images, i) for i in range(t)])
+    big = Permutation(tuple(images.tolist()))
     cyc = big.cycle_type()
     trans = len(cyc) if all(c == 2 for c in cyc) and cyc else (0 if not cyc else None)
     report = InflateReport(cycle_type=cyc, parity=big.parity(), transposition_count=trans)

@@ -72,20 +72,6 @@ class SftMatrix:
         return tuple((s, t) for s, t, _ in self.edges())
 
 
-def matrix_power_trace(sft: SftMatrix, k: int) -> int:
-    """trace(A^k) with exact integer arithmetic."""
-    d = sft.dim
-    acc = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    base = [list(row) for row in sft.entries]
-    e = k
-    while e:
-        if e & 1:
-            acc = _matmul(acc, base)
-        base = _matmul(base, base)
-        e >>= 1
-    return sum(acc[i][i] for i in range(d))
-
-
 def _matmul(x, y):
     d = len(x)
     return [[sum(x[i][k] * y[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
@@ -119,10 +105,19 @@ def language_words(sft: SftMatrix, length: int) -> list[Word]:
 
 
 def count_periodic(sft: SftMatrix, k: int) -> int:
-    """Number of points fixed by the k-th power of the shift: trace(A^k)."""
+    """Number of points fixed by the k-th power of the shift: trace(A^k),
+    with exact integer arithmetic."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return matrix_power_trace(sft, k)
+    d = sft.dim
+    acc = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    base = [list(row) for row in sft.entries]
+    while k:
+        if k & 1:
+            acc = _matmul(acc, base)
+        base = _matmul(base, base)
+        k >>= 1
+    return sum(acc[i][i] for i in range(d))
 
 
 def _power_exceeds(n: int, e: int, budget: int, factor: int = 1) -> bool:

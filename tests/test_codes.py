@@ -23,7 +23,6 @@ from stabaut.codes import (
     _pin_inverses,
     _power_exceeds,
     _Stack,
-    _sub_block_map,
     apply_to_periodic,
     aut_commutator,
     aut_compose,
@@ -38,6 +37,7 @@ from stabaut.codes import (
     window_chunks,
 )
 from stabaut.generators import (
+    _sub_block_map,
     flip,
     flip_on_even,
     periodic_letter_permutation,
@@ -995,6 +995,21 @@ class TestRefineAndEquals:
             with pytest.raises(CodeSizeExceeded):
                 equals(g, f, sft)
         assert equals(f, f) and equals(g, g)
+
+    def test_equals_of_blockwise_codes_refuses_what_refine_refuses(self, monkeypatch):
+        # both codes act blockwise, and their common shape, 12 classes of
+        # 2^9 windows, is past the budget: no block map answers past it
+        flip_letters, keep = Permutation((1, 0)), Permutation((0, 1))
+        f = periodic_letter_permutation(2, [flip_letters, keep, keep]).forward.refine(3, 4)
+        g = periodic_letter_permutation(2, [flip_letters, keep, flip_letters, keep]).forward
+        monkeypatch.setattr(stabaut.codes, "MAX_TABLE_ENTRIES", 2000)
+        assert f.block_map is not None and g.block_map is not None
+        refused = re.escape("12 tables of 2^9 entries exceed the exact-check budget of 2000")
+        with pytest.raises(CodeSizeExceeded, match=refused):
+            f.refine(12, 4)
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(CodeSizeExceeded, match=refused):
+                equals(a, b)
 
     def test_sft_restricted_equality(self):
         # on the golden-mean shift the word 11 never occurs, so codes

@@ -201,9 +201,19 @@ def test_each_table_layer_job_has_one_owner():
     assert "find_inverse" not in {name for name, _ in names}
     built = [line for name, line in names if name == "StabilizedCode"]
     assert built and min(built) > search
-    assert set(_calls(trees["generators"], "_sub_block_map")) == {
-        "swap_commutator_witness", "mth_root_of"}
-    assert _calls(trees["codes"], "_sub_block_map") == ["_inflate_block_map"]
+    # equals is one walk: it reads no block map, which only compose (itself
+    # and through _structured) still reads in codes.py
+    readers = [top.name for top in trees["codes"].body for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr == "block_map"]
+    assert "equals" not in readers
+    assert set(readers) == {"_structured", "compose"}
+    # sub-block maps live next to their three callers
+    assert [stem for stem, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_sub_block_map"] == [
+        "generators"]
+    users = {stem: set(_calls(tree, "_sub_block_map")) for stem, tree in trees.items()}
+    assert {stem: names for stem, names in users.items() if names} == {
+        "generators": {"swap_commutator_witness", "mth_root_of", "inflate"}}
     imported = {alias.name for node in ast.walk(trees["generators"])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "subwindow" not in imported
