@@ -66,7 +66,6 @@ from .shifts import (
     SftMatrix,
     VerificationFailed,
     _power_exceeds,
-    index_to_block,
     lcm,
     power_alphabet_index,
 )
@@ -309,8 +308,10 @@ class StabilizedCode:
                 raise ValueError(f"table {ti} has {arr.size} entries, expected {want}")
             if arr.dtype.kind not in "iu":
                 raise ValueError(f"table {ti} has dtype {arr.dtype}, expected integers")
-            # the range is checked before the narrowing cast, which would wrap
-            if arr.min() < 0 or arr.max() >= self.n:
+            # before the narrowing cast, which would wrap.  n - 1 past the dtype's max leaves only
+            # the sign to check; else a negative entry read unsigned is past n - 1, so max() finds all
+            if (arr.min() < 0 if self.n - 1 >> 8 * arr.itemsize - (arr.dtype.kind == "i")
+                    else arr.view(arr.dtype.str.replace("i", "u")).max() >= self.n):
                 ei = int(np.flatnonzero((arr < 0) | (arr >= self.n))[0])
                 raise ValueError(f"table {ti} entry {ei} out of range: {arr[ei]}")
             arr = arr.astype(_table_dtype(self.n), copy=copy)
@@ -757,40 +758,43 @@ def enumerate_automorphisms(n: int, r: int, k: int) -> list[Automorphism]:
 def _bijective_on_periodics(n: int, r: int, k: int) -> list[tuple[int, ...]]:
     """Candidate table tuples inducing bijections on small periodic points.
 
-    A cheap exact prefilter: an invertible code permutes the points of
-    each period, so any candidate failing to permute P_L is discarded
-    before the inverse search.  L is the least multiple of k longer than
-    a window.  At r = 0 every multiple of k keeps the same tuples, those
-    whose tables each permute the letters; at r = 1, L = 3 would keep 36
-    tuples of census (2, 1, 1), not 8, and take it from 0.5 to 2.1 ms.
-    `partial`, k * n^w * n^L entries, is refused past MAX_TABLE_ENTRIES
-    before it is allocated.  Tuples are walked by index (C order, so in
-    ascending canonical order) in batches of WINDOW_CHUNK // n^L, at
-    least one: a batch sums the rows of `partial` its tuples pick, sorts
-    each row and keeps the rows equal to the identity.
+    An invertible code permutes the N = n^L points of period L, the least
+    multiple of k longer than a window (L = 3 would keep 36 tuples of
+    census (2, 1, 1), not 8).  q[c][t, x] indexes the m = L / k letters
+    table t writes at the class-c positions of the image of point x, k *
+    n^w * N entries refused past MAX_TABLE_ENTRIES before they are built.
+    Level d keeps the prefixes (t_0 .. t_(d-1)) whose key x -> (q_0, ...,
+    q_(d-1)), md letters of the image, takes each of its n^(md) values
+    N / n^(md) times, as a bijection's does, and at d = k is a bijection:
+    the pruning is exact.  Prefixes grow by the class-d tables in index
+    order, so survivors come in canonical order, in batches of
+    WINDOW_CHUNK // N rows (at least one), each counted by one bincount.
     """
-    w = window_count(n, r)
-    per_table = n**w
-    length = -(-(2 * r + 2) // k) * k  # the least multiple of k of at least 2r + 2
+    w, length = window_count(n, r), -(-(2 * r + 2) // k) * k  # L >= 2r + 2
+    per_table, m, points = n**w, length // k, n**length
     _check_entries(n, w + length, k, f"{k} prefilter tables of {n}^{w + length} entries")
-    idx = np.arange(n**length, dtype=np.int64)
-    tidx = np.arange(per_table, dtype=np.int64)[:, None]
-    # partial contribution of each table choice per residue class: the
-    # letter a table writes at position z of a periodic block is the
-    # table's entry (one slot of its index) at the block's cyclic window
-    # around z, read from the block rotated to start at z - r
-    partial = [np.zeros((per_table, n**length), dtype=np.int64) for _ in range(k)]
+    doubled = np.arange(points, dtype=np.int64) * (points + 1)  # each point's block twice over
+    # letters[t, v]: the letter table t writes at window v, column-major for the gathers
+    letters = np.indices((n,) * w, dtype=np.int32).reshape(w, per_table).T
+    q = [None] * k  # int32 holds every key, as n^L <= MAX_TABLE_ENTRIES
     for z in range(length):
-        a = (z - r) % length
-        rotated = (idx % n ** (length - a)) * n**a + idx // n ** (length - a)
-        win = subwindow(rotated, n, length, 0, 2 * r + 1)
-        partial[z % k] += subwindow(tidx, n, w, win[None, :], 1) * n ** (length - 1 - z)
-    total = per_table**k
-    batch = max(1, WINDOW_CHUNK // idx.size)
-    survivors = []
-    for lo in range(0, total, batch):
-        combos = np.arange(lo, min(lo + batch, total), dtype=np.int64)
-        image = sum(part[subwindow(combos, per_table, k, c, 1)] for c, part in enumerate(partial))
-        image.sort(axis=-1)
-        survivors += [index_to_block(per_table, k, int(t)) for t in combos[(image == idx).all(axis=-1)]]
-    return survivors
+        # the window around position z starts at slot z - r mod L of the doubled block
+        win = subwindow(doubled, n, 2 * length, (z - r) % length, 2 * r + 1)
+        read = (letters * n ** (m - 1 - z // k))[:, win]
+        # the class sum so far is added into the read, so no other temporary is made
+        q[z % k] = read if z < k else np.add(q[z % k], read, out=read)
+    # a prefix is its index in base n^w, so row i * n^w + t of a level extends prefix i by t
+    batch, prefixes, keys = max(1, WINDOW_CHUNK // points), np.zeros(1, dtype=np.int64), None
+    for d in range(k):
+        kept, kept_keys, values = [], [], n ** (m * (d + 1))
+        for lo in range(0, len(prefixes) * per_table, batch):  # the identity's prefix is never cut
+            parent, t = np.divmod(np.arange(lo, min(lo + batch, len(prefixes) * per_table)), per_table)
+            key = keys[parent] * n**m + q[d][t] if d else q[0][lo:lo + len(t)]
+            # row i counts its keys in bins i * values .. (i + 1) * values - 1
+            bins = np.bincount((key + np.arange(len(t))[:, None] * values).ravel(),
+                               minlength=len(t) * values).reshape(-1, values)
+            ok = (bins == points // values).all(axis=-1)
+            kept.append(prefixes[parent[ok]] * per_table + t[ok])
+            kept_keys += [key[ok]] if d < k - 1 else []  # no keys after the last level
+        prefixes, keys = np.concatenate(kept), np.concatenate(kept_keys) if kept_keys else None
+    return list(zip(*[t.tolist() for t in np.unravel_index(prefixes, (per_table,) * k)]))

@@ -845,10 +845,21 @@ class TestTableValidation:
         (np.array([0, 65537], dtype=np.int64), "table 0 entry 1 out of range: 65537"),
         ([0, 70000], "table 0 entry 1 out of range: 70000"),
         (np.array([False, True]), "table 0 has dtype bool"),
-    ], ids=["float", "int64-wrapping-to-identity", "list-past-int16", "bool"])
+        (np.array([0, -1], dtype=">i2"), "table 0 entry 1 out of range: -1"),
+        (np.array([0, 255], dtype=np.uint8), "table 0 entry 1 out of range: 255"),
+    ], ids=["float", "int64-wrapping-to-identity", "list-past-int16", "bool", "big-endian-int16",
+            "uint8"])
     def test_bad_table_refused(self, table, message):
         with pytest.raises(ValueError, match=message):
             StabilizedCode(2, 1, 0, (table,))
+
+    def test_letters_past_the_dtype_are_checked_for_sign(self):
+        # n - 1 = 199 is past int8's 127, so only a negative entry is out of range
+        table = (np.arange(200) % 128).astype(np.int8)
+        assert StabilizedCode(200, 1, 0, (table,)).tables[0].tolist() == table.tolist()
+        table[150] = -100
+        with pytest.raises(ValueError, match="table 0 entry 150 out of range: -100"):
+            StabilizedCode(200, 1, 0, (table,))
 
     @pytest.mark.parametrize("shape", [
         (2.0, 1, 0), (2, 1.0, 0), (2, 1, 0.0), (True, 1, 0), (2, True, 0), (2, 1, False),
@@ -1519,7 +1530,7 @@ def permuting_tuples(n, r, k):
 
 
 class TestCensusPrefilter:
-    @pytest.mark.parametrize("shape", [(2, 0, 2), (3, 0, 2), (2, 1, 1), (2, 0, 3)])
+    @pytest.mark.parametrize("shape", [(2, 0, 2), (3, 0, 2), (2, 1, 1), (2, 0, 3), (2, 0, 4)])
     def test_matches_scalar_oracle(self, shape):
         got = _bijective_on_periodics(*shape)
         assert got == permuting_tuples(*shape)
@@ -1528,12 +1539,18 @@ class TestCensusPrefilter:
     def test_two_letter_radius_one_period_two(self):
         assert len(_bijective_on_periodics(2, 1, 2)) == 160
 
-    # a batch is WINDOW_CHUNK // n^L tuples: (2,0,3) has 64 tuples of 8
-    # entries, (3,0,2) has 729 of 9
+    # a batch is WINDOW_CHUNK // n^L rows of one level, a row holding one
+    # key per point: (2,0,3) has 8 points, (3,0,2) has 9
     @pytest.mark.parametrize("shape, chunk", [
-        ((2, 0, 3), 1),  # one tuple a batch
+        ((2, 0, 3), 1),  # one row a batch
         ((3, 0, 2), 18),  # two a batch, the last batch partial
-        ((2, 0, 3), 128),  # four full batches of 16
+        ((2, 0, 3), 128),  # 16 a batch: levels of 4, 8 and 16 rows in one batch each
+        # rows of a level: a kept prefix and a table of the next class, so
+        # (2,1,2) has levels of 256 rows and (2,0,8) levels of 4, 8, ..., 512
+        ((2, 1, 2), 16),  # one row a batch
+        ((2, 1, 2), 48),  # three a batch: batches cut prefixes, the last partial
+        ((2, 0, 8), 256),  # one row a batch
+        ((2, 0, 8), 768),  # three a batch: batches cut prefixes, the last partial
     ])
     def test_batch_edges(self, monkeypatch, shape, chunk):
         want = _bijective_on_periodics(*shape)
@@ -1549,6 +1566,28 @@ class TestCensusPrefilter:
         finally:
             tracemalloc.stop()
         assert peak < 6 * WINDOW_CHUNK * 8
+
+    @pytest.mark.parametrize("shape", [(2, 0, 8), (2, 1, 2), (3, 0, 3), (4, 0, 2)])
+    def test_level_memory_is_bounded(self, shape):
+        # the keys a level keeps and one batch of rows, on the shapes that prune
+        tracemalloc.start()
+        try:
+            _bijective_on_periodics(*shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * WINDOW_CHUNK * 8
+
+    def test_largest_prefilter_memory(self):
+        # 6^6 tables over 6^2 points: q is built in place, and no keys are
+        # kept after the last level
+        tracemalloc.start()
+        try:
+            assert len(_bijective_on_periodics(6, 0, 1)) == 720
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestGroupAxioms:
