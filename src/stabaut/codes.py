@@ -22,7 +22,10 @@ table read of it is one contiguous table slice broadcast over the chunk
 index of a code's outputs at several sub-windows is a sum of such reads
 (WindowChunk.outputs), added in the bracketing that _sum_order picks
 from their spans of free slots, once for a walk, so that the sums over
-a whole chunk run long inner loops.  Chunks keep peak RSS bounded at
+a whole chunk run long inner loops, in the narrowest signed type that
+holds the index.  Sums of reads wholly in free slots are the same in
+every chunk; a walk keeps them, one store per read list, and
+_sum_order charges them 1/n^head.  Chunks keep peak RSS bounded at
 any radius.  In this module two kernels walk the chunks: _same, every
 whole-window comparison of table reads (equals, commutation with shift
 powers, the structure checks), which stops at the first chunk that
@@ -144,53 +147,83 @@ class WindowChunk:
         shape = (1,) * before + (n,) * free + (1,) * (self.s - before - free)
         return table[..., base: base + n**free].reshape(table.shape[:-1] + shape)
 
-    def outputs(self, reads) -> np.ndarray:
+    def outputs(self, reads, kept: dict | None = None) -> np.ndarray:
         """Leftmost-significant index of the letters take(table, lo, w)
-        reads, one letter for each (table, lo, w) of `reads`: the int64 sum
-        of read i times n^(len(reads)-1-i).  The result spans only the chunk
-        axes some read covers.  The reads are added in the bracketing that
-        _sum_order picks from their free-slot spans, the same for every
-        chunk of a walk, so that a sum over the whole chunk joins terms that
-        vary alike along a long run of trailing axes.  Given stacks of m
-        tables, the result keeps their leading axis and candidate i's index
-        is offset by i n^len(reads): it indexes m tables of n^len(reads)
+        reads, one letter for each (table, lo, w) of `reads`: the sum of
+        read i times n^(len(reads)-1-i), made in the narrowest of int16,
+        int32 and int64 that holds it and cast to int64 at the end.  The
+        result spans only the chunk axes some read covers.  The reads are
+        added in the bracketing that _sum_order picks from their free-slot
+        spans, the same for every chunk of a walk, so that a sum over the
+        whole chunk joins terms that vary alike along a long run of
+        trailing axes.  Reads wholly in free slots, and their sums, are
+        the same in every chunk: given `kept`, one store for the read list
+        over a walk of several chunks, the first chunk keeps there the
+        largest such sums a per-chunk step adds in, and later chunks
+        neither take nor add their reads again.  Given stacks of m tables,
+        the result keeps their leading axis and candidate i's index is
+        offset by i n^len(reads): it indexes m tables of n^len(reads)
         entries laid end to end."""
-        out, lead = self.take(*reads[0]), reads[0][0].shape[:-1]
-        if lead:
-            offset = np.arange(math.prod(lead), dtype=np.int64).reshape(lead + (1,) * self.s)
-            out = offset * self.n + out
-        else:
-            out = out.astype(np.int64)
-        terms = [out] + [self.take(*read) for read in reads[1:]]
-        for i, j, power in _sum_order(self.n, self.width, self.s,
-                                      tuple([(lo, w) for _, lo, w in reads])):
-            # dtype= keeps the product int64 under any promotion rules
-            terms[i] = np.multiply(terms[i], power, dtype=np.int64) + terms[j]
+        n, head = self.n, self.width - self.s
+        lead = reads[0][0].shape[:-1]
+        bound = n ** len(reads) * (max(1, math.prod(lead)) if lead else 1)
+        work = np.int16 if bound <= 2**15 else np.int32 if bound <= 2**31 else np.int64
+        steps = _sum_order(n, self.width, self.s, tuple([(lo, w) for _, lo, w in reads]),
+                           reads[0][0].dtype != work) if len(reads) > 1 else ()
+        # a walk of one chunk keeps nothing, and the later chunks of a walk
+        # that keeps take only the reads that meet the prefix
+        again = bool(head and kept)
+        terms = [kept.get(i) if again and lo >= head else self.take(table, lo, w)
+                 for i, (table, lo, w) in enumerate(reads)]
+        if lead and not (again and 0 in kept):
+            offset = np.arange(math.prod(lead), dtype=work).reshape(lead + (1,) * self.s)
+            terms[0] = offset * n + terms[0]
+        # on the first chunk of a walk that keeps, whether term i is the same in every chunk
+        fixed = [lo >= head for _, lo, _ in reads] if head and kept == {} else [False] * len(reads)
+        for i, j, power, both_kept in steps:
+            if not both_kept:
+                for t in (i, j):
+                    if fixed[t]:
+                        kept[t] = terms[t]
+                fixed[i] = False
+            elif again:
+                continue
+            # dtype= keeps the product in the working type under any promotion
+            # rules, and a code's tables are no wider when a step is made
+            terms[i] = np.multiply(terms[i], power, dtype=work) + terms[j]
             terms[j] = None
-        return terms[0]
+        if fixed[0]:
+            kept[0] = terms[0]
+        return terms[0].astype(np.int64)
 
 
 @functools.lru_cache(maxsize=256)
-def _sum_order(n: int, width: int, s: int, spans) -> tuple:
-    """The steps (i, j, power) by which WindowChunk.outputs adds its reads
-    at `spans`, one (lo, w) each, in chunks of s free slots of `width`:
-    each step sets term i to term i * power + term j, and term 0 ends as
-    the index.  A step joins the sums of the reads i .. j-1 and j .. h,
-    with power n^(h-j+1), so the steps are a bracketing of the sum; the
-    left fold is (0, 1, n), (0, 2, n), ....
+def _sum_order(n: int, width: int, s: int, spans, cast: bool) -> tuple:
+    """The steps (i, j, power, kept) by which WindowChunk.outputs adds its
+    reads at `spans`, one (lo, w) each, in chunks of s free slots of
+    `width`: each step sets term i to term i * power + term j, and term 0
+    ends as the index.  A step joins the sums of the reads i .. j-1 and
+    j .. h, with power n^(h-j+1), so the steps are a bracketing of the
+    sum; the left fold is (0, 1, n, False), (0, 2, n, False), ....  A
+    step is kept when the walk has more than one chunk and its reads i ..
+    h all lie in free slots: its sum is the same in every chunk, so
+    outputs makes it once a walk.
 
     numpy adds two terms broadcast to a shape in one inner loop per run
     of trailing axes along which each term either varies throughout or is
     constant throughout.  So an add costs its size times (1 + 12 / that
-    run's length), and a multiply its size + 12, plus 1000 for a read that
-    is not the first, which the multiply casts to int64 (outputs casts the
-    first up front).  An interval DP over the contiguous splits takes the
-    cheapest bracketing.  Ties go to the left fold: reads that gain free
-    slots from left to right, as in the ray count, keep that order.
+    run's length), and a multiply its size + 12, plus 1000 when it casts a
+    single read to the working type (`cast`: the tables' dtype is not
+    it).  A kept step is made once for the n^head chunks of the walk, so
+    it costs 1/n^head of that.  An interval DP over the contiguous splits
+    takes the cheapest bracketing.  Ties go to the left fold: reads that
+    gain free slots from left to right, as in the ray count, keep that
+    order.
     """
     head = width - s
     # bit x of a mask: the term varies along chunk axis x (window slot head + x)
     masks = [(1 << max(0, lo + w - head)) - (1 << max(0, lo - head)) for lo, w in spans]
+    free = [head > 0 and lo >= head for lo, _ in spans]
 
     def add_cost(a: int, b: int) -> int:
         kinds = [(a >> x & 1, b >> x & 1) for x in reversed(range(s)) if (a | b) >> x & 1]
@@ -199,8 +232,10 @@ def _sum_order(n: int, width: int, s: int, spans) -> tuple:
 
     def join(i: int, j: int, h: int) -> tuple:
         (cost_left, _, a), (cost_right, _, b) = best[i, j - 1], best[j, h]
-        cast = 1000 if 0 < i == j - 1 else 0
-        return cost_left + cost_right + n ** a.bit_count() + 12 + cast + add_cost(a, b), j, a | b
+        step = n ** a.bit_count() + 12 + (1000 if cast and i == j - 1 else 0) + add_cost(a, b)
+        # costs in units of 1/n^head of a chunk's, so a kept step's stays exact
+        scale = 1 if all(free[i: h + 1]) else n**head
+        return cost_left + cost_right + step * scale, j, a | b
 
     count = len(spans)
     # best[i, h]: the cost of summing reads i .. h, its split j and its mask
@@ -215,7 +250,7 @@ def _sum_order(n: int, width: int, s: int, spans) -> tuple:
         if i == h:
             return []
         j = best[i, h][1]
-        return steps(i, j - 1) + steps(j, h) + [(i, j, n ** (h - j + 1))]
+        return steps(i, j - 1) + steps(j, h) + [(i, j, n ** (h - j + 1), all(free[i: h + 1]))]
     return tuple(steps(0, count - 1))
 
 
@@ -444,14 +479,15 @@ def _compose_walk(k: int, r: int, g):
     n, period, radius = g.n, lcm(k, g.period), r + g.radius
     _check_size(n, radius, period * math.prod(g.tables[0].shape[:-1]))
     # class c reads g's outputs at c - r .., the i-th from slots i .. i + 2r_g,
-    # and those depend on c mod k_g alone
-    reads = [[(g.tables[(rho - r + i) % g.period], i, 2 * g.radius + 1)
-              for i in range(2 * r + 1)] for rho in range(g.period)]
+    # and those depend on c mod k_g alone; each read list comes with the
+    # store of its kept sums for the one walk
+    reads = [([(g.tables[(rho - r + i) % g.period], i, 2 * g.radius + 1)
+               for i in range(2 * r + 1)], {}) for rho in range(g.period)]
 
     def walk():
         for ch in window_chunks(n, 2 * radius + 1):
             for rho in range(g.period):
-                outer = ch.outputs(reads[rho])
+                outer = ch.outputs(*reads[rho])
                 for c in range(rho, period, g.period):
                     yield ch, c, outer
     return period, radius, walk()

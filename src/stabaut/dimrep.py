@@ -111,9 +111,9 @@ def ray_image_count(aut: Automorphism, tail_letter: int = 0) -> RayCount:
         tail = tail_letter * (q**t - 1) // (q - 1) * q ** (2 * r + 1 - t)
         table = code.tables[out_pos % code.period][tail:]
         reads.append((table, out_pos - r - 1 + t, 2 * r + 1 - t))
-    seen = np.zeros(q**free, dtype=bool)
+    seen, kept = np.zeros(q**free, dtype=bool), {}
     for ch in window_chunks(q, free):
-        seen[ch.outputs(reads)] = True
+        seen[ch.outputs(reads, kept)] = True
     return RayCount(m, int(np.count_nonzero(seen)))
 
 

@@ -224,6 +224,7 @@ def _recode_code(code: StabilizedCode, k: int) -> StabilizedCode:
     _check_entries(n, width, 1, f"{n}^{width} recoded windows")
     table = np.empty(n**width, dtype=_table_dtype(n**k))
     reads = [(code.tables[c % code.period], big_r * k + c - r, 2 * r + 1) for c in range(k)]
+    kept = {}
     for ch in window_chunks(n, width):
-        ch.take(table)[...] = ch.outputs(reads)
+        ch.take(table)[...] = ch.outputs(reads, kept)
     return StabilizedCode(n**k, 1, big_r, _Owned((table,)))

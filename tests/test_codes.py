@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import re
@@ -307,7 +308,12 @@ class TestChunkBoundary:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5), st.data())
     def test_outputs_match_the_index_oracle(self, chunk, n, data):
-        width = data.draw(st.integers(1, 7))
+        # m n^len(reads) at the bound of the int16 working type, or one past
+        # it: 2^15 over 2 letters, and 2^15 + 1 = 3^2 * 3641 over 3 letters
+        # at one or two reads; None: m and n as drawn
+        edge = data.draw(st.sampled_from([None, 2**15, 2**15 + 1]))
+        n = {None: n, 2**15: 2, 2**15 + 1: 3}[edge]
+        width = data.draw(st.integers(1, 5 if edge else 7))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stabaut.codes, "WINDOW_CHUNK", chunk)
             chunks = list(window_chunks(n, width))
@@ -330,6 +336,10 @@ class TestChunkBoundary:
                 for read in data.draw(st.lists(inside, min_size=1, max_size=3)):
                     spans.insert(data.draw(st.integers(0, len(spans))), read)
         m = data.draw(st.sampled_from([None, 0, 1, 2, 3]))  # None: no candidate axis
+        if edge:
+            spans = spans[:2] if n == 3 else spans  # 3^2 is the largest power of 3 dividing 2^15 + 1
+            m = edge // n ** len(spans)
+            assert m * n ** len(spans) == edge
         lead = () if m is None else (m,)
         rng = np.random.default_rng(data.draw(st.integers(0, 99)))
         dtype = data.draw(st.sampled_from([np.int16, np.int64, np.uint8]))
@@ -339,19 +349,46 @@ class TestChunkBoundary:
         for table, (lo, w) in zip(tables, spans):
             want = want * n + table[..., subwindow(idx, n, width, lo, w)].astype(np.int64)
         reads = [(table, lo, w) for table, (lo, w) in zip(tables, spans)]
-        got = [ch.outputs(reads) for ch in chunks]
+        # one store of kept sums shared by every chunk, as a walk holds it, or none
+        kept = {} if data.draw(st.booleans()) else None
+        got = [ch.outputs(reads, kept) for ch in chunks]
         assert all(g.dtype == np.int64 for g in got)
         got = [np.broadcast_to(g, lead + ch.shape).reshape(lead + (n**ch.s,)) for g, ch in zip(got, chunks)]
         assert np.array_equal(np.concatenate(got, axis=-1), np.broadcast_to(want, lead + idx.shape))
 
     def test_sum_order(self):
-        # the ray count's reads grow from the first slot: the left fold
+        # the ray count's reads grow from the first slot: the left fold, but
+        # for reads 7 and 8, which lie in the free slots and are added once a
+        # walk; its int16 tables are cast to the int32 working type
         ray = ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 7), (2, 7))
-        assert stabaut.codes._sum_order(4, 9, 8, ray) == tuple((0, j, 4) for j in range(1, 9))
-        # the benchmark's (4,2) after (2,2) pair over 5 letters: the chunk-wide
-        # sum joins reads 0..2, constant on the last two axes, with reads 3..4
+        assert stabaut.codes._sum_order(4, 9, 8, ray, True) == tuple(
+            (0, j, 4, False) for j in range(1, 7)) + ((7, 8, 4, True), (0, 7, 16, False))
+        # the benchmark's (4,2) after (2,2) pair over 5 letters, in int16:
+        # reads 2..4 are summed once a walk, then joined with reads 0..1
         compose_reads = tuple((lo, 5) for lo in range(5))
-        assert stabaut.codes._sum_order(5, 9, 7, compose_reads)[-1] == (0, 3, 25)
+        assert stabaut.codes._sum_order(5, 9, 7, compose_reads, False) == (
+            (0, 1, 5, False), (3, 4, 5, True), (2, 3, 25, True), (0, 2, 125, False))
+        # a walk of one chunk keeps no step
+        one_chunk = stabaut.codes._sum_order(5, 7, 7, compose_reads[:3], False)
+        assert not any(kept for *_, kept in one_chunk)
+
+    def test_kept_sums_are_made_once_a_walk(self, monkeypatch):
+        # the benchmark's pair: 25 chunks of 5^7 windows, whose free slots
+        # hold reads 2..4 whole, so each is taken once for each class of g
+        f, g = seeded_code(1, 5, 4, 2), seeded_code(2, 5, 2, 2)
+        free = collections.Counter()
+        take = stabaut.codes.WindowChunk.take
+        def counted(ch, table, lo=0, w=None):
+            free[lo, w] += lo >= ch.width - ch.s > 0  # not the structure checks' one chunk
+            return take(ch, table, lo, w)
+        monkeypatch.setattr(stabaut.codes.WindowChunk, "take", counted)
+        compose(f, g)
+        assert +free == {(2, 5): 2, (3, 5): 2, (4, 5): 2}
+        # a walk of one chunk keeps nothing
+        (ch,) = window_chunks(5, 7)
+        kept = {}
+        ch.outputs([(f.tables[0], lo, 5) for lo in range(3)], kept)
+        assert kept == {}
 
     def test_sum_order_is_chosen_once_a_walk(self):
         # the benchmark's pair: 25 chunks of 5^7 windows, each read twice,
