@@ -46,13 +46,16 @@ prefilter) are read through
     subwindow(idx, n, width, lo, w) = (idx // n^(width-lo-w)) % n^w
 
 Tables are dense numpy arrays, so every comparison below is an exact,
-exhaustive check over all windows.  Size guards keep that honest:
-operations refuse to build tables they cannot enumerate.  The constructor
-only validates: it copies the arrays a caller passes, and a kernel hands
-over the tables it allocated as _Owned, which the constructor checks and
-keeps without a copy.  A code's structure (shift_by, block_map) is read
-off its read-only tables when first asked, by at most one _same walk
-each, and cached; most codes, the census's among them, are never asked.
+exhaustive check over all windows.  A letter is one byte below 128
+letters (_table_dtype), so a table holds, and a walk reads, compares and
+writes, half the bytes that two-byte letters take.  Size guards keep
+that honest: operations refuse to build tables they cannot enumerate.
+The constructor only validates: it copies the arrays a caller passes,
+and a kernel hands over the tables it allocated as _Owned, which the
+constructor checks and keeps without a copy.  A code's structure
+(shift_by, block_map) is read off its read-only tables when first
+asked, by at most one _same walk each, and cached; most codes, the
+census's among them, are never asked.
 """
 
 from __future__ import annotations
@@ -90,7 +93,11 @@ class BudgetExceeded(ValueError):
 
 
 def _table_dtype(n: int):
-    return np.int16 if n < 2**15 else np.int32
+    """The dtype of a table of letters 0 .. n-1, the one place it is
+    chosen: the narrowest signed integer type whose positive range holds
+    them, so int8 for n < 2**7 as int16 for n < 2**15.  Signed, so -1
+    marks an entry _pin_inverses has not pinned yet."""
+    return np.int8 if n < 2**7 else np.int16 if n < 2**15 else np.int32
 
 
 def window_count(n: int, radius: int) -> int:
@@ -150,8 +157,8 @@ class WindowChunk:
     def outputs(self, reads, kept: dict | None = None) -> np.ndarray:
         """Leftmost-significant index of the letters take(table, lo, w)
         reads, one letter for each (table, lo, w) of `reads`: the sum of
-        read i times n^(len(reads)-1-i), made in the narrowest of int16,
-        int32 and int64 that holds it and cast to int64 at the end.  The
+        read i times n^(len(reads)-1-i), made in the narrowest of int8,
+        int16, int32 and int64 that holds it, cast to int64 at the end.  The
         result spans only the chunk axes some read covers.  The reads are
         added in the bracketing that _sum_order picks from their free-slot
         spans, the same for every chunk of a walk, so that a sum over the
@@ -167,7 +174,8 @@ class WindowChunk:
         n, head = self.n, self.width - self.s
         lead = reads[0][0].shape[:-1]
         bound = n ** len(reads) * (max(1, math.prod(lead)) if lead else 1)
-        work = np.int16 if bound <= 2**15 else np.int32 if bound <= 2**31 else np.int64
+        work = (np.int8 if bound <= 2**7 else np.int16 if bound <= 2**15
+                else np.int32 if bound <= 2**31 else np.int64)
         steps = _sum_order(n, self.width, self.s, tuple([(lo, w) for _, lo, w in reads]),
                            reads[0][0].dtype != work) if len(reads) > 1 else ()
         # a walk of one chunk keeps nothing, and the later chunks of a walk
@@ -176,8 +184,9 @@ class WindowChunk:
         terms = [kept.get(i) if again and lo >= head else self.take(table, lo, w)
                  for i, (table, lo, w) in enumerate(reads)]
         if lead and not (again and 0 in kept):
-            offset = np.arange(math.prod(lead), dtype=work).reshape(lead + (1,) * self.s)
-            terms[0] = offset * n + terms[0]
+            # i n for candidate i, made by arange: n alone may not fit the working type
+            offset = np.arange(0, math.prod(lead) * n, n, dtype=work).reshape(lead + (1,) * self.s)
+            terms[0] = offset + terms[0]
         # on the first chunk of a walk that keeps, whether term i is the same in every chunk
         fixed = [lo >= head for _, lo, _ in reads] if head and kept == {} else [False] * len(reads)
         for i, j, power, both_kept in steps:

@@ -24,6 +24,7 @@ from stabaut.codes import (
     _pin_inverses,
     _power_exceeds,
     _Stack,
+    _table_dtype,
     apply_to_periodic,
     aut_commutator,
     aut_compose,
@@ -304,15 +305,25 @@ class TestChunkBoundary:
         assert got.dtype == np.int64
         assert np.array_equal(np.broadcast_to(got, ch.shape).ravel(), np.arange(5**7))
 
+    @pytest.mark.parametrize("n", [2**7, 2**15])
+    def test_one_candidate_at_a_working_type_edge(self, n):
+        # m n^len(reads) = n fills the int8 or int16 working type while n
+        # itself is one past its max, so the candidate offsets must not
+        # multiply by n in that type
+        table = np.arange(n, dtype=_table_dtype(n))[None]
+        (ch,) = window_chunks(n, 1)
+        got = ch.outputs([(table, 0, 1)])
+        assert got.dtype == np.int64 and got.tolist() == [list(range(n))]
+
     @pytest.mark.parametrize("chunk", [WINDOW_CHUNK, 5, 25, 7], ids=lambda c: f"chunk{c}")
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5), st.data())
     def test_outputs_match_the_index_oracle(self, chunk, n, data):
-        # m n^len(reads) at the bound of the int16 working type, or one past
-        # it: 2^15 over 2 letters, and 2^15 + 1 = 3^2 * 3641 over 3 letters
-        # at one or two reads; None: m and n as drawn
-        edge = data.draw(st.sampled_from([None, 2**15, 2**15 + 1]))
-        n = {None: n, 2**15: 2, 2**15 + 1: 3}[edge]
+        # m n^len(reads) at the bound of the int8 or the int16 working type,
+        # or one past it: 2^7 and 2^15 over 2 letters, 2^7 + 1 = 3 * 43 and
+        # 2^15 + 1 = 3^2 * 3641 over 3 letters; None: m and n as drawn
+        edge = data.draw(st.sampled_from([None, 2**7, 2**7 + 1, 2**15, 2**15 + 1]))
+        n = n if edge is None else 2 + edge % 2
         width = data.draw(st.integers(1, 5 if edge else 7))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stabaut.codes, "WINDOW_CHUNK", chunk)
@@ -337,12 +348,13 @@ class TestChunkBoundary:
                     spans.insert(data.draw(st.integers(0, len(spans))), read)
         m = data.draw(st.sampled_from([None, 0, 1, 2, 3]))  # None: no candidate axis
         if edge:
-            spans = spans[:2] if n == 3 else spans  # 3^2 is the largest power of 3 dividing 2^15 + 1
+            # at most as many reads as the largest power of n dividing the edge
+            spans = spans[:max(e for e in range(16) if edge % n**e == 0)]
             m = edge // n ** len(spans)
             assert m * n ** len(spans) == edge
         lead = () if m is None else (m,)
         rng = np.random.default_rng(data.draw(st.integers(0, 99)))
-        dtype = data.draw(st.sampled_from([np.int16, np.int64, np.uint8]))
+        dtype = data.draw(st.sampled_from([np.int8, np.int16, np.int64, np.uint8]))
         tables = [rng.integers(0, n, lead + (n**w,)).astype(dtype) for _, w in spans]
         idx = np.arange(n**width)
         want = np.arange(m or 0)[:, None] if lead else 0  # i n^len(spans) once folded
@@ -359,14 +371,15 @@ class TestChunkBoundary:
     def test_sum_order(self):
         # the ray count's reads grow from the first slot: the left fold, but
         # for reads 7 and 8, which lie in the free slots and are added once a
-        # walk; its int16 tables are cast to the int32 working type
+        # walk; its int8 tables are cast to the int32 working type
         ray = ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 7), (2, 7))
         assert stabaut.codes._sum_order(4, 9, 8, ray, True) == tuple(
             (0, j, 4, False) for j in range(1, 7)) + ((7, 8, 4, True), (0, 7, 16, False))
-        # the benchmark's (4,2) after (2,2) pair over 5 letters, in int16:
-        # reads 2..4 are summed once a walk, then joined with reads 0..1
+        # the benchmark's (4,2) after (2,2) pair over 5 letters, whose int8
+        # tables are cast to the int16 working type: reads 2..4 are summed
+        # once a walk, then joined with reads 0..1
         compose_reads = tuple((lo, 5) for lo in range(5))
-        assert stabaut.codes._sum_order(5, 9, 7, compose_reads, False) == (
+        assert stabaut.codes._sum_order(5, 9, 7, compose_reads, True) == (
             (0, 1, 5, False), (3, 4, 5, True), (2, 3, 25, True), (0, 2, 125, False))
         # a walk of one chunk keeps no step
         one_chunk = stabaut.codes._sum_order(5, 7, 7, compose_reads[:3], False)
@@ -870,7 +883,7 @@ class TestStructureOnDemand:
         f, g = seeded_code(3, 3, 2, 1), seeded_code(4, 3, 1, 2)
         assert not equals(f, g) and not equals(f, g, GOLDEN_MEAN)
         assert not commutes_with_shift_power(f, 1)
-        assert len(pairs) >= 6 and {str(b) for _, b in pairs} == {"int16", "int32"}
+        assert len(pairs) >= 6 and {str(b) for _, b in pairs} == {"int8", "int32"}
         assert all(a == b for a, b in pairs)
 
 
@@ -919,7 +932,7 @@ class TestTableValidation:
 
     def test_read_only_arrays_of_the_table_dtype_are_copied_too(self):
         # the owner of a read-only array may make it writeable again
-        table = np.array([1, 0], dtype=np.int16)
+        table = np.array([1, 0], dtype=_table_dtype(2))
         table.flags.writeable = False
         code = StabilizedCode(2, 1, 0, (table,))
         table.flags.writeable = True
@@ -935,12 +948,101 @@ class TestTableValidation:
             StabilizedCode(2, 2, 0, ([0, 1],))
 
 
+# 12 letters: the first alphabet where a letter times n wraps int8; 126
+# and 127: the last of one-byte letters; 128: the first of two-byte ones
+DTYPE_EDGES = [12, 126, 127, 128]
+
+
+def edge_points(n, seed):
+    """Periodic points over n letters, one of them spelling the top letters."""
+    rng = random.Random(seed)
+    points = [PeriodicPoint((n - 1, n - 2, 0, n - 1))]
+    for length in (1, 2, 3, 5, 6):
+        points.append(PeriodicPoint(tuple(rng.choices(range(n), k=length)), rng.randrange(length)))
+    return points
+
+
+def letter_permutations(n, seed, k):
+    rng = random.Random(seed)
+    return [Permutation(tuple(rng.sample(range(n), n))) for _ in range(k)]
+
+
+@pytest.mark.parametrize("n", DTYPE_EDGES)
+class TestLetterDtypeEdges:
+    """The table kernels at the alphabets where the letter dtype, or a
+    letter times n in it, changes, against the scalar oracle.  Codes have
+    radius <= 1; where n^5 windows would pass the table budget, the code
+    read first or inverted has radius 0."""
+
+    @staticmethod
+    def small_radius(n):
+        return 1 if 2 * n**5 <= MAX_TABLE_ENTRIES else 0
+
+    def test_tables_take_the_chosen_dtype(self, n):
+        code = seeded_code(1, n, 2, 1)
+        assert {t.dtype for t in code.tables} == {np.dtype(np.int8 if n < 128 else np.int16)}
+        assert {t.dtype for t in code.refine(4, 1).tables} == {code.tables[0].dtype}
+
+    def test_compose(self, n):
+        f, g = seeded_code(1, n, 2, 1), seeded_code(2, n, 1, self.small_radius(n))
+        fg = compose(f, g)
+        assert fg.tables[0].dtype == _table_dtype(n)
+        for x in edge_points(n, 3):
+            assert apply_to_periodic(fg, x) == apply_to_periodic(f, apply_to_periodic(g, x))
+
+    def test_refine(self, n):
+        radius = self.small_radius(n)
+        code = seeded_code(4, n, 1, radius)
+        refined = code.refine(2, radius + 1)
+        assert equals(code, refined)
+        for x in edge_points(n, 5):
+            assert apply_to_periodic(refined, x) == apply_to_periodic(code, x)
+
+    def test_equals(self, n):
+        code = seeded_code(6, n, 1, 1)
+        assert equals(code, code.refine(2, 1))
+        # the window of the top letters, whose index is the last
+        last = n**3 - 1
+        changed = with_entry_changed(code, 0, last)
+        assert not equals(code, changed) and not equals(changed, code.refine(3, 1))
+        x = PeriodicPoint(tuple(index_to_block(n, 3, last)))
+        assert apply_to_periodic(changed, x) != apply_to_periodic(code, x)
+
+    def test_find_inverse(self, n):
+        j = self.small_radius(n)
+        code = compose(StabilizedCode.shift(n, j),
+                       periodic_letter_permutation(n, letter_permutations(n, 7, 2)).forward)
+        inverse = find_inverse(code, 1)
+        assert inverse.radius == j and verify_inverse_pair(code, inverse)
+        for x in edge_points(n, 8):
+            assert apply_to_periodic(inverse, apply_to_periodic(code, x)) == x
+        # a letter map sending n - 2 and n - 1 to one letter has no inverse
+        clash = StabilizedCode(n, 1, 0, (np.minimum(np.arange(n), n - 2),))
+        assert find_inverse(clash, 1) is None
+        assert (apply_to_periodic(clash, PeriodicPoint((n - 1,)))
+                == apply_to_periodic(clash, PeriodicPoint((n - 2,))))
+
+    def test_structure(self, n):
+        shift = shift_power(n, 1).forward
+        assert shift.shift_by == 1 and shift.block_map is None
+        for x in edge_points(n, 9):
+            assert apply_to_periodic(shift, x) == x.shifted(1)
+        perms = letter_permutations(n, 10, 2)
+        blocks = periodic_letter_permutation(n, perms).forward
+        assert blocks.shift_by is None
+        images = blocks.block_map
+        for b in (0, n**2 - n - 2, n**2 - 1):
+            x, image = (PeriodicPoint(tuple(index_to_block(n, 2, v))) for v in (b, images[b]))
+            assert apply_to_periodic(blocks, x) == image
+        assert compose(shift, blocks).shift_by is None
+
+
 class TestIdentity:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_is_the_zeroth_shift(self, n):
         for code in (StabilizedCode.identity(n), StabilizedCode.shift(n, 0)):
             assert (code.period, code.radius, code.shift_by) == (1, 0, 0)
-            assert code.tables[0].dtype == np.int16
+            assert code.tables[0].dtype == _table_dtype(n)
             assert code.tables[0].tolist() == list(range(n))
 
     def test_refused_before_allocating(self):
@@ -1480,7 +1582,7 @@ def stacked(n, k, r, codes):
     """The codes' class-c tables as the rows of tables[c]."""
     w = n ** (2 * r + 1)
     return _Stack(n, k, r, tuple(
-        np.array([code.tables[c] for code in codes], dtype=np.int16).reshape(len(codes), w)
+        np.array([code.tables[c] for code in codes], dtype=_table_dtype(n)).reshape(len(codes), w)
         for c in range(k)))
 
 

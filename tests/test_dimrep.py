@@ -208,6 +208,18 @@ class TestDimensionMultiplier:
         both = aut_compose(first, second)
         assert dimension_multiplier(both) == dimension_multiplier(shift_power(6, 1))
 
+    # 12 letters: the first alphabet where a letter times n wraps int8; 126
+    # and 127: the last of one-byte letters; 128: the first of two-byte ones
+    @pytest.mark.parametrize("n", [12, 126, 127, 128])
+    def test_shift_after_a_letter_permutation_at_the_dtype_edges(self, n):
+        # the ray count walks n^3 extensions; over 12 letters, so does the oracle
+        perm = Permutation(tuple(random.Random(n).sample(range(n), n)))
+        aut = aut_compose(shift_power(n, 1), letter_permutation(n, perm))
+        assert dimension_multiplier(aut) == ExponentVector(*prime_exponents(n))
+        if n == 12:
+            for tail in (0, 11):
+                rc = ray_image_count(aut, tail)
+                assert (rc.m, rc.count) == brute_ray_count(aut, tail)
 
     def test_a_prime_outside_the_alphabet_is_refused(self, monkeypatch):
         monkeypatch.setattr(stabaut.dimrep, "ray_image_count", lambda aut, tail: RayCount(1, 7))

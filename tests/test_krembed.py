@@ -289,6 +289,25 @@ class TestEmbedCode:
             x = PeriodicPoint(tuple(block), data.draw(st.integers(0, length - 1)))
             assert apply_to_periodic(e, x) == embed_oracle(code, scheme, x)
 
+    # 12 letters: the first alphabet where a letter times n wraps int8; 126
+    # and 127: the last of one-byte letters; 128: the first of two-byte ones.
+    # Sources of 3 and 11 letters fill the data letters up to 9 and 121
+    @pytest.mark.parametrize("q", [12, 126, 127, 128])
+    def test_oracle_agreement_at_the_dtype_edges(self, q):
+        n = 3 if q == 12 else 11
+        gap = 2 if q == 12 else 1  # gap 2 windows of q^5 would pass the budget over 126 letters
+        rng = np.random.default_rng(q)
+        code = StabilizedCode(n, 2, 1, tuple(rng.integers(0, n, n**3) for _ in range(2)))
+        scheme = find_marker_scheme(q, n, gap)
+        e = embed_code(code, scheme)
+        letters = random.Random(q)
+        for length in (1, 3, 4, 6, 7, 9):
+            x = PeriodicPoint(tuple(letters.choices(range(q), k=length)))
+            assert apply_to_periodic(e, x) == embed_oracle(code, scheme, x)
+        # the top data letter, a stretch of it between markers, and the top marker
+        top = PeriodicPoint((n**2 - 1, n**2 - 1, q - 1, n**2 - 2, q - 1))
+        assert apply_to_periodic(e, top) == embed_oracle(code, scheme, top)
+
     def test_across_a_window_chunk_boundary(self):
         # radius 3 over 5 letters: 5^7 = 78125 windows, more than one chunk
         rng = np.random.default_rng(4)

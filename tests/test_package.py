@@ -217,3 +217,23 @@ def test_each_table_layer_job_has_one_owner():
     imported = {alias.name for node in ast.walk(trees["generators"])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "subwindow" not in imported
+
+
+def test_table_dtypes_have_one_chooser():
+    # the one- and two-byte integer types are named only where a table's
+    # dtype is chosen and in the working-type ladder of WindowChunk.outputs,
+    # so every table is allocated in the dtype _table_dtype picks
+    named = []
+
+    def visit(node, where, stem):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr in ("int8", "int16")
+                    or isinstance(child, ast.Constant)
+                    and child.value in ("int8", "int16", "i1", "i2")):
+                named.append(f"{stem}:{where}")
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else None
+            visit(child, f"{where}.{inner}".lstrip(".") if inner else where, stem)
+
+    for path in sorted((SRC / "stabaut").glob("*.py")):
+        visit(ast.parse(path.read_text()), "", path.stem)
+    assert sorted(set(named)) == ["codes:WindowChunk.outputs", "codes:_table_dtype"]
