@@ -2,7 +2,8 @@
 
 The digests were computed with per-window index decoding, before the
 kernels read windows through window_chunks, so they pin the walk to the
-old results bit for bit."""
+old results bit for bit.  The group-layer pins at the end fix which
+certificate each recipe and search returns, not only that it is valid."""
 
 import contextlib
 import hashlib
@@ -15,8 +16,17 @@ from stabaut import cli
 from stabaut.codes import StabilizedCode, aut_compose, compose, enumerate_automorphisms
 from stabaut.dimrep import RayCount, ray_image_count
 from stabaut.generators import recode_to_power, shift_power, symbol_permutation
+from stabaut.invariants import sl2_z4_report
 from stabaut.krembed import embed_code, find_marker_scheme
-from stabaut.permlab import Permutation
+from stabaut.permlab import (
+    GroupHandle,
+    Permutation,
+    canonical_arrangement,
+    grid_index,
+    p_cycle_search,
+    p_generators,
+    three_cycle_from_arrangement,
+)
 
 
 def digest(*codes):
@@ -98,3 +108,64 @@ def test_recode_to_power():
     recoded = recode_to_power(aut)
     assert digest(recoded.forward, recoded.inverse) == (
         "712e3b4ddf3a62f520be4e54896d57b35853c75c3000d1428c409e52a6832461")
+
+
+# -- the group layer: which certificate comes out, not only that it is valid --
+
+
+def pin(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n, want", [
+    (5, "2952223ca6d6362cfe528733a2e1dca41e6f449db5e5fc05bd6fe60ce2414f53"),
+    (7, "74f47d4089a8c65d57046578be025ae3734a62d0f38007f7adfc137fdcfa159b"),
+])
+def test_recipe_words(n, want):
+    # the 3-cycle, the certificate word and the alphabet's labels in order
+    recipes = []
+    for kind in range(1, 7):
+        cycle, word, alphabet = three_cycle_from_arrangement(canonical_arrangement(kind, n), kind, n)
+        recipes.append((cycle.cycles(), word, list(alphabet)))
+    assert pin(recipes) == want
+
+
+@pytest.mark.parametrize("n, want", [
+    (5, "1fcfd920f448c711e01e389433a99ededa297950d16cc1c2df730f41d781a6fc"),
+    (7, "6b9400ef69987910e2cd4f57c1f4d835a41936126788d1c0ca6707a21135e293"),
+])
+def test_canonical_arrangements(n, want):
+    assert pin([canonical_arrangement(kind, n).images for kind in range(1, 7)]) == want
+
+
+def _pcycle(generators, n, budget):
+    found = p_cycle_search(generators, n, budget=budget, seed=0)
+    if found is None:
+        return None
+    p, perm, word, alphabet = found
+    return p, perm.cycles(), word, list(alphabet)
+
+
+def test_p_cycle_search():
+    n = 7
+    crossing = Permutation.transposition(n * n, grid_index(n, 2, 1), grid_index(n, 3, 2))
+    assert pin(_pcycle(p_generators(n) + [crossing], n, 300)) == (
+        "4412f33712c716f8d06e766314e794364010fdf65c29c54f7400c5bc828e5be4")
+    # arrangement (1) exhausts the budget; arrangement (3) finds a 3-cycle
+    # through star moves and seeded random conjugates
+    assert _pcycle([canonical_arrangement(1, 6)], 6, 400) is None
+    assert pin(_pcycle([canonical_arrangement(3, 5)], 5, 400)) == (
+        "ea9bea48f6a704983e5b43ae5afef1af777bf779407c2395485a5d0677f5d99a")
+
+
+def test_sl2_z4_report():
+    report = sl2_z4_report()
+    assert (report.group_order, report.commutator_order, report.contains_first,
+            report.contains_second, report.unipotent_image_order) == (48, 12, True, True, 4)
+
+
+def test_elements_of_p4():
+    elements = GroupHandle(p_generators(4)).elements()
+    assert len(elements) == 576
+    assert pin([g.images for g in elements]) == (
+        "426e6b4951b1a9d47602f244140b1102bf0f3ae271eda0ca04026b68d79f91c5")
