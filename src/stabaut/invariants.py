@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .shifts import VerificationFailed, _perfect_power, prime_exponents, prime_factors
+from .shifts import VerificationFailed, _closure, _perfect_power, prime_exponents, prime_factors
 
 
 def omega(n: int) -> int:
@@ -120,20 +120,6 @@ def _sl2_z4_elements() -> list[Matrix]:
     return out
 
 
-def _closure(generators: list[Matrix]) -> set[Matrix]:
-    ident = (1, 0, 0, 1)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        x = frontier.pop()
-        for g in generators:
-            y = _mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
-
-
 @dataclass(frozen=True)
 class Sl2Z4Report:
     group_order: int
@@ -152,11 +138,8 @@ def sl2_z4_report() -> Sl2Z4Report:
     off directly.
     """
     elements = _sl2_z4_elements()
-    commutators = []
-    for x in elements:
-        for y in elements:
-            commutators.append(_mul(_mul(x, y), _mul(_inv(x), _inv(y))))
-    derived = _closure(list(set(commutators)))
+    commutators = {_mul(_mul(x, y), _mul(_inv(x), _inv(y))) for x in elements for y in elements}
+    derived = _closure([(1, 0, 0, 1)], lambda x: (_mul(x, c) for c in commutators))
     first = (2, 3, 3, 1)
     second = (3, 1, 3, 0)
     unipotent = (1, 1, 0, 1)

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .shifts import VerificationFailed, prime_factors
+from .shifts import VerificationFailed, _closure, prime_factors
 
 MAX_GROUP_DEGREE = 64
 # Largest group order whose elements are listed one by one.
@@ -367,32 +367,14 @@ class GroupHandle:
         """All elements, sorted by image tuple, if the order fits ELEMENT_LIMIT."""
         if (order := self.order()) > ELEMENT_LIMIT:
             raise DegreeBudgetExceeded(f"order {order} exceeds element limit {ELEMENT_LIMIT}")
-        ident = Permutation.identity(self.degree)
-        seen = {ident.images}
-        out = [ident]
-        frontier = [ident]
-        while frontier:
-            g = frontier.pop()
-            for s in self.generators:
-                h = s * g
-                if h.images not in seen:
-                    seen.add(h.images)
-                    out.append(h)
-                    frontier.append(h)
-        out.sort(key=lambda p: p.images)
-        return out
+        # image tuples closed under left multiplication by each generator
+        lefts = [s.images.__getitem__ for s in self.generators]
+        seen = _closure([tuple(range(self.degree))],
+                        lambda g: (tuple(map(left, g)) for left in lefts))
+        return [Permutation._unchecked(g) for g in sorted(seen)]
 
     def orbit(self, point: int) -> frozenset[int]:
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            pt = frontier.pop()
-            for g in self.generators:
-                img = g(pt)
-                if img not in seen:
-                    seen.add(img)
-                    frontier.append(img)
-        return frozenset(seen)
+        return frozenset(_closure([point], lambda pt: (g.images[pt] for g in self.generators)))
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
@@ -560,8 +542,8 @@ def goursat_property_holds(
 
 # -- arrangements and 3-cycle recipes --------------------------------------
 
-def _grid_transposition(n, r1, c1, r2, c2):
-    return Permutation.transposition(n * n, grid_index(n, r1, c1), grid_index(n, r2, c2))
+# the row cycles that arrangements (1)-(3) apply within columns 1 and 2
+ARRANGEMENT_ROW_CYCLES = {1: [(1, 2)], 2: [(1, 2), (3, 4)], 3: [(1, 2, 3)]}
 
 
 def canonical_arrangement(kind: int, n: int) -> Permutation:
@@ -576,44 +558,38 @@ def canonical_arrangement(kind: int, n: int) -> Permutation:
         raise ValueError("the recipes need n >= 5")
     if kind in (4, 5, 6):
         return canonical_arrangement(kind - 3, n).conjugate_by(swap_map(n))
-    if kind == 1:
-        return _grid_transposition(n, 1, 1, 2, 1) * _grid_transposition(n, 1, 2, 2, 2)
-    if kind == 2:
-        return (
-            _grid_transposition(n, 1, 1, 2, 1)
-            * _grid_transposition(n, 1, 2, 2, 2)
-            * _grid_transposition(n, 3, 1, 4, 1)
-            * _grid_transposition(n, 3, 2, 4, 2)
-        )
-    if kind == 3:
-        cyc1 = [grid_index(n, r, 1) for r in (1, 2, 3)]
-        cyc2 = [grid_index(n, r, 2) for r in (1, 2, 3)]
-        return Permutation.from_cycles(n * n, [cyc1, cyc2])
-    raise ValueError("arrangement kind must be 1..6")
+    if kind not in ARRANGEMENT_ROW_CYCLES:
+        raise ValueError("arrangement kind must be 1..6")
+    return Permutation.from_cycles(n * n, [
+        [grid_index(n, row, col) for row in rows]
+        for rows in ARRANGEMENT_ROW_CYCLES[kind] for col in (1, 2)])
 
 
-def _recipe_word(kind: int, gamma_label: str):
-    """Certificate word of the recipe; in each product the earlier tokens
-    act first, matching right-to-left reading of the written products."""
-    gamma_word = [(gamma_label, 1)]
-    if kind == 1:
-        g4 = list(gamma_word) + _conj_word(gamma_word, "phiR_2_3")
-        result = _conj_word(g4, "phiC_1_3") + list(gamma_word)
-        return result + result
-    if kind == 2:
-        g4 = _conj_word(gamma_word, "phiR_3_5")
-        g5 = list(g4) + _conj_word(g4, "phiR_2_3")
-        result = _conj_word(g5, "phiC_1_3") + list(g4)
-        return result + result
+def _recipe_word(kind: int, gamma_word):
+    """Certificate word of the recipe for arrangement `kind` in 1..3 on a
+    word for gamma; earlier tokens act first, matching right-to-left
+    reading of the written products.  The chain is (3) -> (2) -> (1):
+    w -> conj(w + conj(w, phiR_3_4), phiR_2_4) takes (3) to (2), and
+    w -> conj(w, phiR_3_5) takes (2) to (1); then (1)'s recipe
+    r = conj(w + conj(w, phiR_2_3), phiC_1_3) + w runs once, and r + r is
+    the 3-cycle."""
+    w = list(gamma_word)
     if kind == 3:
-        # reduce to arrangement (2), then run its recipe
-        g4 = list(gamma_word) + _conj_word(gamma_word, "phiR_3_4")
-        g5 = _conj_word(g4, "phiR_2_4")
-        g6 = _conj_word(g5, "phiR_3_5")
-        g7 = list(g6) + _conj_word(g6, "phiR_2_3")
-        result = _conj_word(g7, "phiC_1_3") + list(g6)
-        return result + result
-    raise ValueError("kind must be 1..3")
+        w = _conj_word(w + _conj_word(w, "phiR_3_4"), "phiR_2_4")
+    if kind in (2, 3):
+        w = _conj_word(w, "phiR_3_5")
+    r = _conj_word(w + _conj_word(w, "phiR_2_3"), "phiC_1_3") + w
+    return r + r
+
+
+def _conjugators(n: int, pairs) -> dict[str, Permutation]:
+    """phiR_i_j and phiC_i_j, the row and column swaps, for each 1-based
+    pair (i, j) in order, the row swap first."""
+    out = {}
+    for i, j in pairs:
+        out[f"phiR_{i}_{j}"] = conjugator_row(i, j, n)
+        out[f"phiC_{i}_{j}"] = conjugator_col(i, j, n)
+    return out
 
 
 def three_cycle_from_arrangement(gamma: Permutation, kind: int, n: int):
@@ -628,23 +604,13 @@ def three_cycle_from_arrangement(gamma: Permutation, kind: int, n: int):
     if gamma != canonical_arrangement(kind, n):
         raise ArrangementMismatch(f"gamma does not implement arrangement ({kind})")
 
-    alphabet = {"gamma": gamma, "swap": swap_map(n)}
-    for i, j in [(2, 3), (1, 3), (3, 5), (3, 4), (2, 4)]:
-        alphabet[f"phiR_{i}_{j}"] = conjugator_row(i, j, n)
-        alphabet[f"phiC_{i}_{j}"] = conjugator_col(i, j, n)
-
+    alphabet = {"gamma": gamma, "swap": swap_map(n),
+                **_conjugators(n, [(2, 3), (1, 3), (3, 5), (3, 4), (2, 4)])}
     if kind in (1, 2, 3):
-        word = _recipe_word(kind, "gamma")
+        word = _recipe_word(kind, [("gamma", 1)])
     else:
-        # gamma^swap implements the transposed arrangement; substitute the
-        # conjugated generator into the transposed recipe.
-        inner = _recipe_word(kind - 3, "gamma")
-        word = []
-        for label, exp in inner:
-            if label == "gamma":
-                word += [("swap", 1), ("gamma", exp), ("swap", -1)]
-            else:
-                word.append((label, exp))
+        # gamma^swap implements the transposed arrangement
+        word = _recipe_word(kind - 3, [("swap", 1), ("gamma", 1), ("swap", -1)])
     out = evaluate_word(alphabet, word)
     if out.single_cycle_length() != 3:
         raise RecipeFailed("recipe did not return a 3-cycle")
@@ -679,13 +645,9 @@ def p_cycle_search(
         label = f"g{idx}"
         alphabet[label] = g
         pool.append((g, [(label, 1)]))
-    conj_labels = []
-    hi = min(n, 6)
-    for i in range(1, hi):
-        for j in range(i + 1, hi + 1):
-            alphabet[f"phiR_{i}_{j}"] = conjugator_row(i, j, n)
-            alphabet[f"phiC_{i}_{j}"] = conjugator_col(i, j, n)
-            conj_labels += [f"phiR_{i}_{j}", f"phiC_{i}_{j}"]
+    conjugators = _conjugators(n, itertools.combinations(range(1, min(n, 6) + 1), 2))
+    alphabet.update(conjugators)
+    conj_labels = list(conjugators)
 
     def try_isolate(perm, word):
         hit = _isolate_prime_cycle(perm, max_prime)

@@ -9,8 +9,9 @@ n-letter alphabet are 0 .. n-1.
 Words are plain tuples of letter indices.  Everything here is an
 immutable value and every function is pure.  The module imports no
 numpy, so the names every other module shares live here: the budget
-predicate `_power_exceeds` and `VerificationFailed`, the one error a
-failed exact self-check raises.
+predicate `_power_exceeds`, the closure search `_closure` that the
+permutation groups and the matrix group over Z/4 both run, and
+`VerificationFailed`, the one error a failed exact self-check raises.
 """
 
 from __future__ import annotations
@@ -360,5 +361,17 @@ def prime_factors(n: int) -> list[int]:
     return list(prime_exponents(n)[0])
 
 
-def lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
+lcm = math.lcm
+
+
+def _closure(seeds, step) -> set:
+    """Every value reached from `seeds` by repeated `step(value)`, which
+    yields that value's successors; the seeds are included."""
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        for value in step(frontier.pop()):
+            if value not in seen:
+                seen.add(value)
+                frontier.append(value)
+    return seen

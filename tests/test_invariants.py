@@ -259,13 +259,14 @@ class TestSl2Z4:
 
     def test_commutator_is_normal(self):
         # closure under conjugation by the full group
-        from stabaut.invariants import _closure, _inv, _mul, _sl2_z4_elements
+        from stabaut.invariants import _inv, _mul, _sl2_z4_elements
+        from stabaut.shifts import _closure
 
         elements = _sl2_z4_elements()
-        commutators = [
+        commutators = {
             _mul(_mul(x, y), _mul(_inv(x), _inv(y))) for x in elements for y in elements
-        ]
-        derived = _closure(list(set(commutators)))
+        }
+        derived = _closure([(1, 0, 0, 1)], lambda x: [_mul(x, c) for c in commutators])
         for g in elements:
             for h in derived:
                 assert _mul(_mul(g, h), _inv(g)) in derived

@@ -219,6 +219,33 @@ def test_each_table_layer_job_has_one_owner():
     assert "subwindow" not in imported
 
 
+def test_each_group_layer_job_has_one_owner():
+    # one closure search, in shifts.py, run by the element and orbit
+    # listings and by the commutator subgroup of SL2(Z/4); the element
+    # listing closes over the generators and reads no stabilizer chain
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((SRC / "stabaut").glob("*.py"))}
+    assert [stem for stem, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_closure"] == ["shifts"]
+    closers = {stem: _calls(tree, "_closure") for stem, tree in trees.items()}
+    assert {stem: names for stem, names in closers.items() if names} == {
+        "invariants": ["sl2_z4_report"], "permlab": ["GroupHandle", "GroupHandle"]}
+    [handle] = [top for top in trees["permlab"].body if getattr(top, "name", None) == "GroupHandle"]
+    assert _calls(handle, "_closure") == ["elements", "orbit"]
+    [elements] = [method for method in handle.body if getattr(method, "name", None) == "elements"]
+    assert "_chain" not in {node.attr for node in ast.walk(elements)
+                            if isinstance(node, ast.Attribute)}
+    # the recipes and the p-cycle search take their row and column
+    # conjugators from one table builder
+    builders = {stem: _calls(tree, "_conjugators") for stem, tree in trees.items()}
+    assert {stem: names for stem, names in builders.items() if names} == {
+        "permlab": ["three_cycle_from_arrangement", "p_cycle_search"]}
+    direct = {stem: _calls(tree, "conjugator_row") + _calls(tree, "conjugator_col")
+              for stem, tree in trees.items()}
+    assert {stem: names for stem, names in direct.items() if names} == {
+        "permlab": ["_conjugators", "_conjugators"]}
+
+
 def test_table_dtypes_have_one_chooser():
     # the one- and two-byte integer types are named only where a table's
     # dtype is chosen and in the working-type ladder of WindowChunk.outputs,

@@ -10,6 +10,7 @@ from stabaut.permlab import (
     ArrangementMismatch,
     GroupHandle,
     Permutation,
+    _isolate_prime_cycle,
     canonical_arrangement,
     conjugator_col,
     conjugator_row,
@@ -147,6 +148,13 @@ class TestGrid:
                 images.append(x * n + ((y + x) % n))
         g = Permutation(tuple(images))
         assert row_col_class(g, n) == "row-preserving"
+
+    def test_column_preserving_only(self):
+        # g(x, y) = ((x + y) mod n, y): the column stays, the row image
+        # depends on the column
+        n = 3
+        g = Permutation(tuple(((x + y) % n) * n + y for x in range(n) for y in range(n)))
+        assert row_col_class(g, n) == "column-preserving"
 
     def test_conjugators(self):
         c = conjugator_row(1, 2, 3)
@@ -295,6 +303,24 @@ class TestJordan:
 
     def test_imprimitive_unknown(self):
         assert jordan_verdict(GroupHandle([Permutation.from_cycles(4, [(0, 1, 2, 3)])])) == "Unknown"
+
+    def test_primitive_without_a_small_prime_cycle_is_unknown(self):
+        # the cyclic group of a 5-cycle is primitive, but its one prime, 5,
+        # is not below degree - 2 = 3
+        five = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
+        handle = GroupHandle([five])
+        assert is_primitive(handle) == (True, None)
+        assert _isolate_prime_cycle(five, 3) is None
+        assert jordan_verdict(handle) == "Unknown"
+
+    def test_generators_whose_product_is_the_identity(self):
+        # g and g^-1: no generator isolates a prime cycle below 5, and
+        # their product is the identity, which isolates none
+        g = Permutation.from_cycles(7, [(0, 1, 2, 3, 4, 5, 6)])
+        handle = GroupHandle([g, g.inverse()])
+        assert is_primitive(handle) == (True, None)
+        assert _isolate_prime_cycle(g * g.inverse(), 5) is None
+        assert jordan_verdict(handle) == "Unknown"
 
 
 class TestGoursat:
